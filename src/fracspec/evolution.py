@@ -213,9 +213,10 @@ def run_evolution(
 ) -> list[Snapshot]:
     """Integrate from u0 at t = 0, one Snapshot per requested time.
 
-    The operator is applied through the batched route when the difference
-    table fits the memory budget, else through the pointwise loop.  Raises
-    NonFiniteState as soon as any field entry stops being finite.
+    The operator is applied through the batched route, which builds its
+    kernel once per run, when the difference table fits the memory budget,
+    else through the pointwise loop.  Raises NonFiniteState as soon as any
+    field entry stops being finite.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != config.shape:

@@ -8,9 +8,9 @@ the same arithmetic:
 
   * pointwise: loop over grid points, one difference field at a time,
     bounded memory, optionally thread-parallel (points are independent);
-  * batched: materialize every difference field at once as a square
-    matrix of order prod(N_j), push all columns through the eigenbasis
-    pipeline together, and keep the diagonal.
+  * batched: build the u-independent M x M kernel (M = prod(N_j)) once per
+    operator and cache it; each evaluation is then one weighted row sum of
+    the kernel against the square table of every odd-power difference.
 
 Route agreement is a standing test target, so neither route shortcuts
 through the other or through the linear operator, even at p = 2 where the
@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from .eigen import SpectralFactor
 from .errors import MemoryGuardError, PoleError
 from .fraclap import from_eigenbasis, to_eigenbasis
+# mode_product stays bound here: the benchmark's tracer self-test wraps this binding
 from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mode_product, tuple_iter
 
 # square difference-table budget for the batched route
@@ -57,19 +59,39 @@ class FracPOperator:
     def shape(self) -> tuple[int, ...]:
         return tuple(f.N for f in self.factors)
 
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Read-only c_const * P diag(pow_tensor) P^-1 over column-major flat
+        indices: 8 * prod(N)**2 bytes, built on first access and then kept.
+        """
+        m = math.prod(self.shape)
+        # M x M inputs go in unnamed, so each is freed by the mode product that
+        # consumes it: two are alive at a time, plus tensordot's copies at n > 1
+        K = from_eigenbasis(
+            self.factors,
+            self.c_const * self.pow_tensor[..., None]
+            * to_eigenbasis(self.factors, np.eye(m).reshape(*self.shape, m, order="F")),
+        ).reshape(m, m, order="F")
+        K.flags.writeable = False
+        return K
+
 
 def signed_power(t: np.ndarray | float, p: float) -> np.ndarray:
     """Odd power sgn(t)|t|**(p-1), elementwise, with sgn(0) = 0.
 
     Defined for every real t and p >= 1; p = 2 short-circuits to the
-    identity.
+    identity.  Allocates one array of t's size.
     """
     if not p >= 1:
         raise ValueError(f"p must be at least 1, got {p!r}")
     t = np.asarray(t, dtype=float)
     if p == 2.0:
         return t.copy()
-    return np.sign(t) * np.abs(t) ** (p - 1.0)
+    if p == 1.0:  # |0|**0 = 1 would lose sgn(0) = 0
+        return np.sign(t)
+    out = np.abs(t, out=np.empty_like(t))
+    out **= p - 1.0
+    return np.copysign(out, t, out=out)
 
 
 def plap_constant(n: int, s: float, p: float) -> float:
@@ -181,11 +203,11 @@ def apply_plap_batched(
     U: np.ndarray,
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> np.ndarray:
-    """Evaluate the operator through one square difference table.
+    """Row sums of ``op.kernel`` times the table of signed_power(u_i - u_j).
 
-    The table holds the odd-power difference of every pair of grid points,
-    8 * prod(N)**2 bytes; the pipeline peak is a small multiple of that.
-    Raises MemoryGuardError instead of attempting an oversized allocation.
+    Holds the cached kernel plus, per call, the table and one temporary of
+    its size, 8 * prod(N)**2 bytes each.  Raises MemoryGuardError, before
+    any allocation, when one table exceeds ``mem_budget``.
     """
     U = np.asarray(U, dtype=float)
     if U.shape != op.shape:
@@ -197,12 +219,5 @@ def apply_plap_batched(
             f"difference table needs {need} bytes, budget is {mem_budget}"
         )
     uf = U.reshape(-1, order="F")
-    table = signed_power(uf[None, :] - uf[:, None], op.p)
-    cols = table.reshape(*op.shape, m, order="F")
-    for axis, f in enumerate(op.factors):
-        cols = mode_product(f.Pinv, cols, axis)
-    cols = op.pow_tensor[..., None] * cols
-    for axis, f in enumerate(op.factors):
-        cols = mode_product(f.P, cols, axis)
-    diag = np.ascontiguousarray(np.diagonal(cols.reshape(m, m, order="F")))
-    return op.c_const * diag.reshape(op.shape, order="F").copy()
+    table = signed_power(uf[:, None] - uf[None, :], op.p)
+    return np.einsum("ij,ij->i", op.kernel, table).reshape(op.shape, order="F")

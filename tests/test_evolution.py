@@ -1,6 +1,7 @@
 """Time integration, self-similar parameters, config parsing."""
 
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from fracspec import (
     self_similar_params,
     unrescale_section,
 )
+from fracspec.tensor_ops import mode_product
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -301,6 +303,22 @@ def test_batched_and_pointwise_paths_agree():
     a = run_evolution(cfg, u0)  # table fits the default budget
     b = run_evolution(cfg, u0, mem_budget=1)  # forces the pointwise loop
     assert np.max(np.abs(a[0].U - b[0].U)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_run_uses_mode_products_only_to_build_the_kernel(monkeypatch, n):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mode_product(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fracspec") and getattr(module, "mode_product", None) is mode_product:
+            monkeypatch.setattr(module, "mode_product", counted)
+    cfg = small_config(n=n, N=7, p=1.8, dt=0.01, t_end=0.03, snapshot_times=(0.03,))
+    run_evolution(cfg, gaussian_field(config_grids(cfg)))  # 12 batched RHS calls
+    assert 0 < len(calls) <= 2 * n
 
 
 def test_plane_section_cuts_through_the_middle():

@@ -37,6 +37,19 @@ def test_signed_power_quadratic_is_identity_copy():
 
 def test_signed_power_zero_sticks_at_zero():
     assert signed_power(np.array([0.0]), 1.5)[0] == 0.0
+    # at p = 1, |0|**0 = 1 must not leak through
+    assert signed_power(0.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.4, 1.8, 2.7])
+def test_signed_power_bitwise_matches_sign_times_power(p):
+    t = np.concatenate([np.linspace(-3.0, 3.0, 13), [-0.0, 0.0, -1e-300, 1e-300, 5e-324]])
+    want = np.sign(t) * np.abs(t) ** (p - 1.0)
+    got = signed_power(t, p)
+    # at t = -0.0 the zero result may carry t's sign bit; -0.0 == 0.0
+    neg_zero = (t == 0.0) & np.signbit(t)
+    assert np.array_equal(got.view(np.uint64)[~neg_zero], want.view(np.uint64)[~neg_zero])
+    assert np.all(got[neg_zero] == 0.0)
 
 
 def test_signed_power_cube_root_case():
@@ -201,6 +214,17 @@ def test_constant_field_maps_to_exact_zero():
     op = build_fracplap(build_axis_factors((12,)), (2.0,), 0.5, 1.7)
     out = apply_plap_pointwise(op, np.full(12, 4.2), threads=1)
     assert np.array_equal(out, np.zeros(12))
+    assert np.array_equal(apply_plap_batched(op, np.full(12, 4.2)), np.zeros(12))
+
+
+def test_kernel_is_built_lazily_once_and_read_only():
+    op = build_fracplap(build_axis_factors((7,)), (2.0,), 0.5, 1.5)
+    assert "kernel" not in vars(op)
+    K = op.kernel
+    assert op.kernel is K
+    assert K.shape == (7, 7)
+    with pytest.raises(ValueError):
+        K[0, 0] = 1.0
 
 
 def test_scaling_contract_1d():
