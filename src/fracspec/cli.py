@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: nodes, factor, fraclap, fracplap, evolve, validate, bench.
+Subcommands: nodes, factor, fraclap, fracplap, evolve, validate.
 Every run writes its data files plus a ``<subcommand>_manifest.json``
 recording the resolved parameters, per-phase wall times, and the output
 file list.  Exit codes: 0 success, 1 parameter error, 2 numerical-contract
@@ -20,19 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import MemoryGuardError, NumericalContractError
+from .errors import NumericalContractError, PoleError
 from .eigen import condition_number, factorize
 from .evolution import config_grids, load_config, quad_mass, run_evolution
 from .fields import gaussian_field, lorentzian_field, radius_squared
 from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
-from .fracplap import (
-    DEFAULT_MEM_BUDGET,
-    apply_plap_batched,
-    apply_plap_pointwise,
-    build_fracplap,
-)
+from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, batched_fits, build_fracplap
 from .grid import build_diff_matrices, make_grid
-from .errors import PoleError
 from .oracles import (
     exact_fraclap_algebraic,
     exact_fraclap_gaussian,
@@ -230,25 +224,11 @@ def _cmd_fracplap(args) -> int:
     t_build = time.perf_counter() - t0
     _warn_sp_range(args.s, args.p)
     U, kind, lor_r = _make_field(args.field, grids, dims)
-
-    def run_mode(mode: str) -> np.ndarray:
-        if mode == "loop":
-            return apply_plap_pointwise(op, U, threads=args.threads)
-        return apply_plap_batched(op, U, mem_budget=args.mem_budget)
-
+    mode = "batch" if batched_fits(op, args.mem_budget) else "loop"
     t0 = time.perf_counter()
-    out = run_mode(args.mode)
+    out = apply_plap(op, U, args.mem_budget)
     t_core = time.perf_counter() - t0
-    report = {"mode": args.mode, "wall_time": t_core}
-    if args.check_other_mode:
-        other = "batch" if args.mode == "loop" else "loop"
-        try:
-            report["discrepancy_vs_other_mode"] = float(
-                np.max(np.abs(out - run_mode(other)))
-            )
-        except MemoryGuardError as exc:
-            report["discrepancy_vs_other_mode"] = None
-            report["other_mode_note"] = f"skipped: memory guard ({exc})"
+    report = {"mode": mode, "wall_time": t_core}
     if args.compare_exact:
         exact = _exact_reference(kind, lor_r, args.s, len(dims), radius_squared(grids))
         report["max_error"] = float(np.max(np.abs(out - exact)))
@@ -261,11 +241,8 @@ def _cmd_fracplap(args) -> int:
         "scales": list(scales),
         "s": args.s,
         "p": args.p,
-        "mode": args.mode,
         "field": args.field,
-        "threads": args.threads,
         "mem_budget": args.mem_budget,
-        "check_other_mode": bool(args.check_other_mode),
         "compare_exact": bool(args.compare_exact),
     }
     _manifest(out_dir, "fracplap", params, {"build": t_build, "core": t_core},
@@ -286,7 +263,7 @@ def _cmd_evolve(args) -> int:
     u0 = gaussian_field(grids)
     mass0 = quad_mass(u0, grids)
     t0 = time.perf_counter()
-    snapshots = run_evolution(config, u0, mem_budget=args.mem_budget, threads=args.threads)
+    snapshots = run_evolution(config, u0, mem_budget=args.mem_budget)
     wall = time.perf_counter() - t0
     x = grids[0].x
     mid = (config.N - 1) // 2
@@ -307,7 +284,7 @@ def _cmd_evolve(args) -> int:
     if mass0 != 0.0:
         drift = max(abs(snap.mass - mass0) for snap in snapshots) / abs(mass0)
     else:
-        drift = max(abs(snap.mass) for snap in snapshots) if snapshots else 0.0
+        drift = max(abs(snap.mass) for snap in snapshots)
     report = {
         "initial_mass": mass0,
         "masses": masses,
@@ -322,7 +299,7 @@ def _cmd_evolve(args) -> int:
         "n": config.n, "s": config.s, "p": config.p,
         "N": config.N, "L": config.L, "dt": config.dt,
         "t_end": config.t_end, "snapshot_times": list(config.snapshot_times),
-        "threads": args.threads, "mem_budget": args.mem_budget,
+        "mem_budget": args.mem_budget,
     }
     _manifest(out_dir, "evolve", params, {"integration": wall}, outputs)
     print(json.dumps({"drift": drift, "masses": masses}, indent=2))
@@ -435,49 +412,6 @@ def _cmd_validate(args) -> int:
     return 0 if all_pass else 2
 
 
-def _cmd_bench(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dims = _parse_ints(args.dims)
-    scales = _parse_floats(args.scales)
-    if len(dims) != len(scales):
-        raise ValueError(f"--dims has {len(dims)} entries but --scales has {len(scales)}")
-    grids = [make_grid(N, L) for N, L in zip(dims, scales)]
-    factors = build_axis_factors(dims)
-    op = build_fracplap(factors, scales, args.s, args.p)
-    _warn_sp_range(args.s, args.p)
-    U, kind, lor_r = _make_field(args.field, grids, dims)
-    t0 = time.perf_counter()
-    loop_out = apply_plap_pointwise(op, U, threads=args.threads)
-    t_loop = time.perf_counter() - t0
-    report = {"wall_time_loop": t_loop}
-    t_batch = None
-    try:
-        t0 = time.perf_counter()
-        batch_out = apply_plap_batched(op, U, mem_budget=args.mem_budget)
-        t_batch = time.perf_counter() - t0
-        report["wall_time_batch"] = t_batch
-        report["discrepancy"] = float(np.max(np.abs(loop_out - batch_out)))
-    except MemoryGuardError as exc:
-        report["wall_time_batch"] = None
-        report["batch_note"] = f"skipped: memory guard ({exc})"
-    if args.p == 2.0 and kind in ("gaussian", "lorentzian"):
-        exact = _exact_reference(kind, lor_r, args.s, len(dims), radius_squared(grids))
-        report["max_error"] = float(np.max(np.abs(loop_out - exact)))
-    name = "bench_report.json"
-    _write_json(out_dir / name, report)
-    params = {
-        "dims": list(dims), "scales": list(scales), "s": args.s, "p": args.p,
-        "field": args.field, "threads": args.threads, "mem_budget": args.mem_budget,
-    }
-    timings = {"loop": t_loop}
-    if t_batch is not None:
-        timings["batch"] = t_batch
-    _manifest(out_dir, "bench", params, timings, [name])
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fracspec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fracspec {__version__}")
@@ -511,21 +445,16 @@ def build_parser() -> _Parser:
     p.add_argument("--scales", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--mode", choices=("loop", "batch"), default="loop")
     p.add_argument("--field", default="gaussian")
-    p.add_argument("--threads", type=int, default=None,
-                   help="pointwise-loop thread count; 1 is the determinism mode")
     p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET,
-                   help="byte budget for the batched difference table")
-    p.add_argument("--check-other-mode", action="store_true",
-                   help="also run the other mode and report the discrepancy")
+                   help="byte budget for the batched difference table; "
+                        "over it the pointwise loop runs")
     p.add_argument("--compare-exact", action="store_true",
                    help="compare against the closed form (p = 2 only)")
     p.set_defaults(func=_cmd_fracplap)
 
     p = sub.add_parser("evolve", parents=[common], help="integrate the evolution equation")
     p.add_argument("--config", required=True, help="flat key=value config file")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET)
     p.set_defaults(func=_cmd_evolve)
 
@@ -533,17 +462,6 @@ def build_parser() -> _Parser:
                        help="run the reference-oracle self checks")
     p.add_argument("--suite", choices=("lemmas", "hyp", "gamma"), required=True)
     p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="time the loop and batched p-Laplacian routes")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--scales", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--field", default="gaussian")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET)
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

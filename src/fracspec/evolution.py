@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import DegenerateExponent, NonFiniteState
 from .fraclap import build_axis_factors
-from .fracplap import (
-    DEFAULT_MEM_BUDGET,
-    apply_plap_batched,
-    apply_plap_pointwise,
-    build_fracplap,
-)
+from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, build_fracplap
 from .grid import Grid1D, make_grid
 
 _DEGENERATE_TOL = 1e-14
@@ -63,6 +58,8 @@ class EvolutionConfig:
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end!r}")
         times = tuple(float(t) for t in self.snapshot_times)
+        if not times:
+            raise ValueError("snapshot_times must name at least one time")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot_times must be sorted ascending")
         if any(not 0.0 < t <= self.t_end for t in times):
@@ -209,14 +206,12 @@ def run_evolution(
     config: EvolutionConfig,
     u0: np.ndarray,
     mem_budget: int = DEFAULT_MEM_BUDGET,
-    threads: int | None = None,
 ) -> list[Snapshot]:
     """Integrate from u0 at t = 0, one Snapshot per requested time.
 
-    The operator is applied through the batched route, which builds its
-    kernel once per run, when the difference table fits the memory budget,
-    else through the pointwise loop.  Raises NonFiniteState as soon as any
-    field entry stops being finite.
+    Every right-hand side is ``apply_plap`` under ``mem_budget``, so a run
+    whose difference table fits builds the batched kernel once and reuses
+    it.  Raises NonFiniteState as soon as any field entry stops being finite.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != config.shape:
@@ -227,13 +222,9 @@ def run_evolution(
         [factor] * config.n, [config.L] * config.n, config.s, config.p
     )
     params = self_similar_params(config.n, config.s, config.p)
-    m = u0.size
-    batched = 8 * m * m <= mem_budget
 
     def rhs(U: np.ndarray) -> np.ndarray:
-        if batched:
-            return -apply_plap_batched(op, U, mem_budget)
-        return -apply_plap_pointwise(op, U, threads)
+        return -apply_plap(op, U, mem_budget)
 
     total_steps = max(1, round(config.t_end / config.dt))
     snap_steps = [
@@ -258,8 +249,7 @@ def run_evolution(
     for k in snap_steps:
         if k == 0:
             record(0, U)
-    last_needed = max(snap_steps) if snap_steps else 0
-    for step in range(1, max(total_steps, last_needed) + 1):
+    for step in range(1, total_steps + 1):
         U = rk4_step(U, config.dt, rhs)
         if not np.all(np.isfinite(U)):
             raise NonFiniteState(

@@ -7,10 +7,13 @@ by a constant depending on (s, p) only.  Two evaluation routes implement
 the same arithmetic:
 
   * pointwise: loop over grid points, one difference field at a time,
-    bounded memory, optionally thread-parallel (points are independent);
+    bounded memory;
   * batched: build the u-independent M x M kernel (M = prod(N_j)) once per
     operator and cache it; each evaluation is then one weighted row sum of
     the kernel against the square table of every odd-power difference.
+
+``apply_plap`` is the entry point: it takes the batched route when one
+8 * M**2-byte table fits the memory budget and the pointwise loop otherwise.
 
 Route agreement is a standing test target, so neither route shortcuts
 through the other or through the linear operator, even at p = 2 where the
@@ -20,8 +23,6 @@ difference-field reduction collapses algebraically.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -164,38 +165,26 @@ def _point_value(op: FracPOperator, U: np.ndarray, tup: tuple[int, ...]) -> floa
     return op.c_const * float(G)
 
 
-def apply_plap_pointwise(
-    op: FracPOperator,
-    U: np.ndarray,
-    threads: int | None = None,
-) -> np.ndarray:
+def apply_plap_pointwise(op: FracPOperator, U: np.ndarray) -> np.ndarray:
     """Evaluate the operator one grid point at a time.
 
-    Memory stays at a few copies of the field regardless of size.  Points
-    are independent, so ``threads`` > 1 splits them across a thread pool;
-    every point's arithmetic is identical either way.
+    Memory stays at a few copies of the field regardless of size; this is
+    the route for grids whose difference table exceeds the budget, and the
+    reference the batched route is tested against.
     """
     U = np.asarray(U, dtype=float)
     if U.shape != op.shape:
         raise ValueError(f"field shape {U.shape} does not match grid {op.shape}")
-    if threads is None or threads <= 0:
-        threads = os.cpu_count() or 1
     out = np.empty(op.shape)
-    points = [tup for tup, _ in tuple_iter(op.shape)]
-
-    def run(chunk: list[tuple[int, ...]]) -> None:
-        for tup in chunk:
-            out[tuple(i - 1 for i in tup)] = _point_value(op, U, tup)
-
-    if threads == 1 or len(points) < 2 * threads:
-        run(points)
-        return out
-    step = (len(points) + threads - 1) // threads
-    chunks = [points[k : k + step] for k in range(0, len(points), step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for done in pool.map(run, chunks):
-            pass
+    for tup, _ in tuple_iter(op.shape):
+        out[tuple(i - 1 for i in tup)] = _point_value(op, U, tup)
     return out
+
+
+def batched_fits(op: FracPOperator, mem_budget: int) -> bool:
+    """Whether one 8 * prod(N)**2-byte difference table fits ``mem_budget``."""
+    m = math.prod(op.shape)
+    return 8 * m * m <= mem_budget
 
 
 def apply_plap_batched(
@@ -212,12 +201,23 @@ def apply_plap_batched(
     U = np.asarray(U, dtype=float)
     if U.shape != op.shape:
         raise ValueError(f"field shape {U.shape} does not match grid {op.shape}")
-    m = U.size
-    need = 8 * m * m
-    if need > mem_budget:
+    if not batched_fits(op, mem_budget):
         raise MemoryGuardError(
-            f"difference table needs {need} bytes, budget is {mem_budget}"
+            f"difference table needs {8 * U.size**2} bytes, budget is {mem_budget}"
         )
     uf = U.reshape(-1, order="F")
     table = signed_power(uf[:, None] - uf[None, :], op.p)
     return np.einsum("ij,ij->i", op.kernel, table).reshape(op.shape, order="F")
+
+
+def apply_plap(
+    op: FracPOperator,
+    U: np.ndarray,
+    mem_budget: int = DEFAULT_MEM_BUDGET,
+) -> np.ndarray:
+    """Evaluate the operator by the batched route when ``batched_fits``,
+    else by the pointwise loop; both give the same values to rounding.
+    """
+    if batched_fits(op, mem_budget):
+        return apply_plap_batched(op, U, mem_budget)
+    return apply_plap_pointwise(op, U)

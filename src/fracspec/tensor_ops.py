@@ -151,11 +151,15 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
 
 
 def read_field_csv(path: str | os.PathLike) -> np.ndarray:
-    """Read a tensor written by ``write_field_csv``."""
+    """Read a tensor written by ``write_field_csv``.
+
+    Every index tuple of the sidecar shape must appear exactly once.
+    """
     path = os.fspath(path)
     with open(_sidecar_path(path)) as fh:
         shape = _checked_shape(json.load(fh)["shape"])
     flat = np.empty(math.prod(shape))
+    filled = bytearray(flat.size)
     seen = 0
     with open(path) as fh:
         header = fh.readline()
@@ -168,7 +172,11 @@ def read_field_csv(path: str | os.PathLike) -> np.ndarray:
                 continue
             parts = line.split(",")
             indices = [int(p) for p in parts[:-1]]
-            flat[flat_index(shape, indices) - 1] = float(parts[-1])
+            k = flat_index(shape, indices) - 1
+            if filled[k]:
+                raise ValueError(f"index {tuple(indices)} appears twice")
+            filled[k] = 1
+            flat[k] = float(parts[-1])
             seen += 1
     if seen != flat.size:
         raise ValueError(f"expected {flat.size} rows, found {seen}")

@@ -110,7 +110,7 @@ def test_gate_03_quadratic_exponent_reduces_to_linear():
     for dims, scales, s, U in seeded_instances():
         factors = build_axis_factors(dims)
         want = apply_fraclap(build_fraclap(factors, scales, s), U)
-        got = apply_plap_pointwise(build_fracplap(factors, scales, s, 2.0), U, threads=1)
+        got = apply_plap_pointwise(build_fracplap(factors, scales, s, 2.0), U)
         worst = max(worst, float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))))
     gate(worst <= 1e-12, "p=2 reduction", f"worst relative gap {worst:.3e} over 20 instances (tol 1e-12)")
 
@@ -119,7 +119,7 @@ def test_gate_04_pointwise_and_batched_routes_agree():
     worst = 0.0
     for dims, scales, s, U in seeded_instances():
         op = build_fracplap(build_axis_factors(dims), scales, s, 2.0)
-        a = apply_plap_pointwise(op, U, threads=1)
+        a = apply_plap_pointwise(op, U)
         b = apply_plap_batched(op, U)
         worst = max(worst, float(np.max(np.abs(a - b))))
     gate(worst <= 1e-13, "route agreement", f"worst absolute gap {worst:.3e} over 20 instances (tol 1e-13)")
@@ -132,7 +132,7 @@ def test_gate_05_large_plane_quadratic_reference():
     op = build_fracplap(build_axis_factors(dims), scales, s, 2.0)
     U = gaussian_field(grids)
     t0 = time.perf_counter()
-    out = apply_plap_pointwise(op, U, threads=1)
+    out = apply_plap_pointwise(op, U)
     wall = time.perf_counter() - t0
     err = float(np.max(np.abs(out - exact_fraclap_gaussian(s, 2, radius_squared(grids)))))
     gate(err <= 1e-11 and wall <= 1800.0,

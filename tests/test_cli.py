@@ -164,16 +164,30 @@ def test_fraclap_rejects_dims_scales_mismatch(tmp_path):
 
 
 def test_fracplap_cross_checks_modes_and_reference(tmp_path):
+    argv = ("fracplap", "--dims", "12", "--scales", "2.0", "--s", "0.4", "--p", "2.0",
+            "--compare-exact")
+    fields = {}
+    for budget in (None, "1"):
+        out_dir = tmp_path / str(budget)
+        extra = () if budget is None else ("--mem-budget", budget)
+        proc = run_cli(*argv, *extra, "--out-dir", str(out_dir))
+        assert proc.returncode == 0, proc.stderr
+        report = read_json(out_dir / "fracplap_report.json")
+        assert "max_error" in report
+        fields[report["mode"]] = np.loadtxt(out_dir / "fracplap_field.csv",
+                                            delimiter=",", skiprows=1)
+    assert set(fields) == {"batch", "loop"}
+    assert np.max(np.abs(fields["batch"] - fields["loop"])) <= 1e-13
+
+
+def test_fracplap_over_budget_falls_back_to_the_loop(tmp_path):
+    # the difference table is 8 * 10**2 = 800 bytes
     proc = run_cli(
-        "fracplap", "--dims", "12", "--scales", "2.0", "--s", "0.4", "--p", "2.0",
-        "--mode", "batch", "--check-other-mode", "--compare-exact",
-        "--out-dir", str(tmp_path),
+        "fracplap", "--dims", "10", "--scales", "2.0", "--s", "0.45", "--p", "1.5",
+        "--mem-budget", "700", "--out-dir", str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
-    report = read_json(tmp_path / "fracplap_report.json")
-    assert report["mode"] == "batch"
-    assert report["discrepancy_vs_other_mode"] <= 1e-13
-    assert "max_error" in report
+    assert read_json(tmp_path / "fracplap_report.json")["mode"] == "loop"
 
 
 def test_fracplap_pole_is_a_contract_violation(tmp_path):
@@ -204,10 +218,11 @@ def test_fracplap_warns_outside_representation_range(tmp_path):
     assert "formula-defined" in proc.stderr
 
 
-def test_fracplap_single_thread_runs_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("budget", [(), ("--mem-budget", "1")], ids=["batch", "loop"])
+def test_fracplap_single_thread_runs_are_byte_identical(tmp_path, budget):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     argv = ("fracplap", "--dims", "11", "--scales", "2.0", "--s", "0.6",
-            "--p", "1.7", "--threads", "1")
+            "--p", "1.7", *budget)
     assert run_cli(*argv, "--out-dir", str(a_dir)).returncode == 0
     assert run_cli(*argv, "--out-dir", str(b_dir)).returncode == 0
     assert filecmp.cmp(a_dir / "fracplap_field.csv", b_dir / "fracplap_field.csv", shallow=False)
@@ -275,34 +290,3 @@ def test_validate_suites_pass(tmp_path, suite):
 def test_validate_unknown_suite_exits_one(tmp_path):
     proc = run_cli("validate", "--suite", "everything", "--out-dir", str(tmp_path))
     assert proc.returncode == 1
-
-
-# ----------------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------------
-
-
-def test_bench_compares_routes(tmp_path):
-    proc = run_cli(
-        "bench", "--dims", "10", "--scales", "2.0", "--s", "0.45", "--p", "2.0",
-        "--out-dir", str(tmp_path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = read_json(tmp_path / "bench_report.json")
-    assert report["wall_time_loop"] >= 0.0
-    assert report["wall_time_batch"] >= 0.0
-    assert report["discrepancy"] <= 1e-13
-    assert report["max_error"] <= 1e-2
-
-
-def test_bench_respects_memory_guard(tmp_path):
-    # 8 * 10**2 = 800 bytes; a 700-byte budget forces the loop-only path
-    proc = run_cli(
-        "bench", "--dims", "10", "--scales", "2.0", "--s", "0.45", "--p", "1.5",
-        "--mem-budget", "700", "--out-dir", str(tmp_path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = read_json(tmp_path / "bench_report.json")
-    assert report["wall_time_batch"] is None
-    assert "memory guard" in report["batch_note"]
-    assert "discrepancy" not in report

@@ -67,6 +67,7 @@ def test_config_snapshot_times_coerced_to_float_tuple():
         ("snapshot_times", (0.05, 0.01)),
         ("snapshot_times", (0.0,)),
         ("snapshot_times", (0.2,)),
+        ("snapshot_times", ()),
     ],
 )
 def test_config_validates_every_field(field, value):

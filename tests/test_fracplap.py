@@ -11,6 +11,7 @@ from fracspec import (
     MemoryGuardError,
     PoleError,
     apply_fraclap,
+    apply_plap,
     apply_plap_batched,
     apply_plap_pointwise,
     build_axis_factors,
@@ -170,7 +171,7 @@ def test_quadratic_case_reduces_to_linear_operator_1d():
     nonlin = build_fracplap(factors, (L,), s, 2.0)
     U = np.random.default_rng(3).standard_normal(N)
     want = apply_fraclap(lin, U)
-    got = apply_plap_pointwise(nonlin, U, threads=1)
+    got = apply_plap_pointwise(nonlin, U)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -195,24 +196,23 @@ def test_pointwise_and_batched_routes_agree(dims, scales, s, p):
     factors = build_axis_factors(dims)
     op = build_fracplap(factors, scales, s, p)
     U = np.random.default_rng(5).standard_normal(dims)
-    a = apply_plap_pointwise(op, U, threads=1)
+    a = apply_plap_pointwise(op, U)
     b = apply_plap_batched(op, U)
     assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
 
-def test_threaded_pointwise_is_bitwise_identical():
+def test_apply_plap_switches_route_at_the_exact_budget():
     dims = (6, 7)
     op = build_fracplap(build_axis_factors(dims), (2.0, 2.0), 0.6, 1.8)
     U = np.random.default_rng(6).standard_normal(dims)
-    assert np.array_equal(
-        apply_plap_pointwise(op, U, threads=1),
-        apply_plap_pointwise(op, U, threads=3),
-    )
+    need = 8 * 42**2
+    assert np.array_equal(apply_plap(op, U, need), apply_plap_batched(op, U))
+    assert np.array_equal(apply_plap(op, U, need - 1), apply_plap_pointwise(op, U))
 
 
 def test_constant_field_maps_to_exact_zero():
     op = build_fracplap(build_axis_factors((12,)), (2.0,), 0.5, 1.7)
-    out = apply_plap_pointwise(op, np.full(12, 4.2), threads=1)
+    out = apply_plap_pointwise(op, np.full(12, 4.2))
     assert np.array_equal(out, np.zeros(12))
     assert np.array_equal(apply_plap_batched(op, np.full(12, 4.2)), np.zeros(12))
 
@@ -279,6 +279,6 @@ def test_operator_value_positive_at_gaussian_peak_2d():
 def test_apply_validates_shape():
     op = build_fracplap(build_axis_factors((8,)), (1.0,), 0.5, 1.5)
     with pytest.raises(ValueError):
-        apply_plap_pointwise(op, np.zeros(9), threads=1)
+        apply_plap_pointwise(op, np.zeros(9))
     with pytest.raises(ValueError):
         apply_plap_batched(op, np.zeros((8, 1)))

@@ -258,3 +258,14 @@ def test_field_csv_read_rejects_missing_rows(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError):
         read_field_csv(path)
+
+
+def test_field_csv_read_rejects_repeated_index(tmp_path):
+    arr = np.zeros((4, 5))
+    path = tmp_path / "d.csv"
+    write_field_csv(path, arr)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[1]  # the second data row repeats the first's index
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"\(4, 5\) appears twice"):
+        read_field_csv(path)
