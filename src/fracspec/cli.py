@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -20,23 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalContractError, PoleError
+from .checks import checked_field
+from .errors import NumericalContractError
 from .eigen import condition_number, factorize
 from .evolution import config_grids, load_config, quad_mass, run_evolution
 from .fields import gaussian_field, lorentzian_field, radius_squared
 from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
 from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, batched_fits, build_fracplap
 from .grid import build_diff_matrices, make_grid
-from .oracles import (
-    exact_fraclap_algebraic,
-    exact_fraclap_gaussian,
-    gamma_fn,
-    resolvent_integral_oracle,
-    semigroup_integral_oracle,
-    _asymp_1f1,
-    _series_1f1,
-    _series_2f1,
-)
+from .oracles import exact_fraclap_algebraic, exact_fraclap_gaussian, self_checks
 from .tensor_ops import read_field_csv, write_field_csv
 
 
@@ -72,24 +63,30 @@ def _make_field(selector: str, grids, dims):
         r = float(selector.partition(":")[2])
         return lorentzian_field(grids, r), "lorentzian", r
     if selector.startswith("csv:"):
-        path = selector.partition(":")[2]
-        U = read_field_csv(path)
-        if U.shape != tuple(dims):
-            raise ValueError(
-                f"field file shape {U.shape} does not match --dims {tuple(dims)}"
-            )
-        return U, "csv", None
+        return checked_field(read_field_csv(selector.partition(":")[2]), dims), "csv", None
     raise ValueError(
         f"unknown field {selector!r}; expected gaussian, lorentzian[:r], or csv:PATH"
     )
 
 
+def _grid_setup(args):
+    """Parse --dims/--scales into (dims, scales, grids).
+
+    Refuses --compare-exact with a csv: field here, before any work starts.
+    """
+    dims = _parse_ints(args.dims)
+    scales = _parse_floats(args.scales)
+    if len(dims) != len(scales):
+        raise ValueError(f"--dims has {len(dims)} entries but --scales has {len(scales)}")
+    if args.compare_exact and args.field.startswith("csv:"):
+        raise ValueError("--compare-exact requires a built-in field (gaussian or lorentzian)")
+    return dims, scales, [make_grid(N, L) for N, L in zip(dims, scales)]
+
+
 def _exact_reference(kind, lorentz_r, s, n, r2):
     if kind == "gaussian":
         return exact_fraclap_gaussian(s, n, r2)
-    if kind == "lorentzian":
-        return exact_fraclap_algebraic(s, lorentz_r, n, r2)
-    raise ValueError("--compare-exact requires a built-in field (gaussian or lorentzian)")
+    return exact_fraclap_algebraic(s, lorentz_r, n, r2)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -113,24 +110,20 @@ def _manifest(out_dir: Path, subcommand: str, params: dict, timings: dict, outpu
 
 
 def _cmd_nodes(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     grid = make_grid(args.n, args.scale)
     name = "nodes.csv"
-    with open(out_dir / name, "w", newline="\n") as fh:
+    with open(args.out_dir / name, "w", newline="\n") as fh:
         fh.write("j,xi,x\n")
         for j in range(grid.N):
             fh.write(f"{j + 1},{grid.xi[j]:.17g},{grid.x[j]:.17g}\n")
     timings = {"total": time.perf_counter() - t0}
-    _manifest(out_dir, "nodes", {"n": args.n, "scale": args.scale}, timings, [name])
-    print(f"wrote {out_dir / name}")
+    _manifest(args.out_dir, "nodes", {"n": args.n, "scale": args.scale}, timings, [name])
+    print(f"wrote {args.out_dir / name}")
     return 0
 
 
 def _cmd_factor(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     grid = make_grid(args.n, args.scale)
     dm = build_diff_matrices(grid)
@@ -148,21 +141,15 @@ def _cmd_factor(args) -> int:
         "reconstruction_residual": residual,
     }
     name = "factor_report.json"
-    _write_json(out_dir / name, report)
+    _write_json(args.out_dir / name, report)
     timings = {"total": time.perf_counter() - t0}
-    _manifest(out_dir, "factor", {"n": args.n, "scale": args.scale}, timings, [name])
+    _manifest(args.out_dir, "factor", {"n": args.n, "scale": args.scale}, timings, [name])
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_fraclap(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dims = _parse_ints(args.dims)
-    scales = _parse_floats(args.scales)
-    if len(dims) != len(scales):
-        raise ValueError(f"--dims has {len(dims)} entries but --scales has {len(scales)}")
-    grids = [make_grid(N, L) for N, L in zip(dims, scales)]
+    dims, scales, grids = _grid_setup(args)
     t0 = time.perf_counter()
     factors = build_axis_factors(dims)
     op = build_fraclap(factors, scales, args.s)
@@ -172,7 +159,7 @@ def _cmd_fraclap(args) -> int:
     out = apply_fraclap(op, U)
     t_core = time.perf_counter() - t0
     csv_name = "fraclap_field.csv"
-    sidecar = write_field_csv(out_dir / csv_name, out)
+    sidecar = write_field_csv(args.out_dir / csv_name, out)
     outputs = [csv_name, os.path.basename(sidecar)]
     report = {"wall_time_core": t_core}
     t_oracle = 0.0
@@ -183,7 +170,7 @@ def _cmd_fraclap(args) -> int:
         report["max_error"] = float(np.max(np.abs(out - exact)))
     report["wall_time_oracle"] = t_oracle
     name = "fraclap_report.json"
-    _write_json(out_dir / name, report)
+    _write_json(args.out_dir / name, report)
     outputs.append(name)
     params = {
         "dims": list(dims),
@@ -192,7 +179,7 @@ def _cmd_fraclap(args) -> int:
         "field": args.field,
         "compare_exact": bool(args.compare_exact),
     }
-    _manifest(out_dir, "fraclap", params,
+    _manifest(args.out_dir, "fraclap", params,
               {"build": t_build, "core": t_core, "oracle": t_oracle}, outputs)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -209,15 +196,9 @@ def _warn_sp_range(s: float, p: float) -> None:
 
 
 def _cmd_fracplap(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dims = _parse_ints(args.dims)
-    scales = _parse_floats(args.scales)
-    if len(dims) != len(scales):
-        raise ValueError(f"--dims has {len(dims)} entries but --scales has {len(scales)}")
     if args.compare_exact and args.p != 2.0:
         raise ValueError("--compare-exact is only available for p = 2")
-    grids = [make_grid(N, L) for N, L in zip(dims, scales)]
+    dims, scales, grids = _grid_setup(args)
     t0 = time.perf_counter()
     factors = build_axis_factors(dims)
     op = build_fracplap(factors, scales, args.s, args.p)
@@ -233,9 +214,9 @@ def _cmd_fracplap(args) -> int:
         exact = _exact_reference(kind, lor_r, args.s, len(dims), radius_squared(grids))
         report["max_error"] = float(np.max(np.abs(out - exact)))
     csv_name = "fracplap_field.csv"
-    sidecar = write_field_csv(out_dir / csv_name, out)
+    sidecar = write_field_csv(args.out_dir / csv_name, out)
     name = "fracplap_report.json"
-    _write_json(out_dir / name, report)
+    _write_json(args.out_dir / name, report)
     params = {
         "dims": list(dims),
         "scales": list(scales),
@@ -245,19 +226,20 @@ def _cmd_fracplap(args) -> int:
         "mem_budget": args.mem_budget,
         "compare_exact": bool(args.compare_exact),
     }
-    _manifest(out_dir, "fracplap", params, {"build": t_build, "core": t_core},
+    _manifest(args.out_dir, "fracplap", params, {"build": t_build, "core": t_core},
               [csv_name, os.path.basename(sidecar), name])
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_evolve(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         config = load_config(args.config)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from None
+    names = [f"snap_t{t:g}.csv" for t in config.snapshot_times]
+    if len(set(names)) < len(names):
+        raise ValueError(f"snapshot_times {list(config.snapshot_times)} repeat a file name: {names}")
     _warn_sp_range(config.s, config.p)
     grids = config_grids(config)
     u0 = gaussian_field(grids)
@@ -269,10 +251,9 @@ def _cmd_evolve(args) -> int:
     mid = (config.N - 1) // 2
     section_idx = (slice(None),) + (mid,) * (config.n - 1)
     outputs = []
-    for requested, snap in zip(config.snapshot_times, snapshots):
-        name = f"snap_t{requested:g}.csv"
+    for name, snap in zip(names, snapshots):
         section = snap.U[section_idx]
-        with open(out_dir / name, "w", newline="\n") as fh:
+        with open(args.out_dir / name, "w", newline="\n") as fh:
             fh.write("x,u,r,v\n")
             for k in range(config.N):
                 fh.write(
@@ -292,7 +273,7 @@ def _cmd_evolve(args) -> int:
         "wall_time": wall,
     }
     name = "evolve_report.json"
-    _write_json(out_dir / name, report)
+    _write_json(args.out_dir / name, report)
     outputs.append(name)
     params = {
         "config": str(args.config),
@@ -301,112 +282,19 @@ def _cmd_evolve(args) -> int:
         "t_end": config.t_end, "snapshot_times": list(config.snapshot_times),
         "mem_budget": args.mem_budget,
     }
-    _manifest(out_dir, "evolve", params, {"integration": wall}, outputs)
+    _manifest(args.out_dir, "evolve", params, {"integration": wall}, outputs)
     print(json.dumps({"drift": drift, "masses": masses}, indent=2))
     return 0
 
 
-def _validate_lemmas() -> list[dict]:
-    mus = (-0.5, -1.0, -4.0)
-    ss = (0.2, 0.5, 0.8)
-    worst_res = worst_semi = worst_chain = 0.0
-    for mu in mus:
-        for s in ss:
-            r1 = resolvent_integral_oracle(mu, s)
-            r2 = semigroup_integral_oracle(mu, s)
-            worst_res = max(worst_res, abs(r1.numeric - r1.closed) / abs(r1.closed))
-            worst_semi = max(worst_semi, abs(r2.numeric - r2.closed) / abs(r2.closed))
-            chain = abs(r2.closed - r1.closed / gamma_fn(1.0 + s)) / abs(r2.closed)
-            worst_chain = max(worst_chain, chain)
-    return [
-        {"name": "resolvent_quadrature", "max_deviation": worst_res, "tolerance": 1e-6},
-        {"name": "semigroup_quadrature", "max_deviation": worst_semi, "tolerance": 1e-6},
-        {"name": "power_chain_identity", "max_deviation": worst_chain, "tolerance": 1e-12},
-    ]
-
-
-def _validate_hyp() -> list[dict]:
-    w = np.linspace(45.0, 55.0, 41)
-    worst_1f1 = 0.0
-    for a, b in ((0.63, 0.5), (2.13, 2.0), (1.2, 1.5)):
-        series, _, _ = _series_1f1(b - a, b, w)
-        near = np.exp(-w) * series
-        far, _, _ = _asymp_1f1(a, b, w)
-        worst_1f1 = max(worst_1f1, float(np.max(np.abs(near - far) / np.abs(far))))
-    z = -w
-    worst_2f1 = 0.0
-    for a, b, c in ((1.3, 0.63, 0.5), (0.7, 1.8, 1.5)):
-        pfaff, _, _ = _series_2f1(a, c - b, c, z / (z - 1.0), 40000)
-        near = (1.0 - z) ** (-a) * pfaff
-        # connection-branch values at the same z, forced through the far path
-        s1, _, _ = _series_2f1(a, a - c + 1.0, a - b + 1.0, 1.0 / z, 400)
-        s2, _, _ = _series_2f1(b, b - c + 1.0, b - a + 1.0, 1.0 / z, 400)
-        g1 = gamma_fn(c) * gamma_fn(b - a) / (gamma_fn(b) * gamma_fn(c - a))
-        g2 = gamma_fn(c) * gamma_fn(a - b) / (gamma_fn(a) * gamma_fn(c - b))
-        far = g1 * w ** (-a) * s1 + g2 * w ** (-b) * s2
-        worst_2f1 = max(worst_2f1, float(np.max(np.abs(near - far) / np.abs(far))))
-    r2 = np.array([0.0, 0.4, 3.0, 90.0, 1e5])
-    zero_g = float(np.max(np.abs(exact_fraclap_gaussian(0.0, 3, r2) - np.exp(-r2))))
-    zero_a = float(
-        np.max(
-            np.abs(exact_fraclap_algebraic(0.0, 1.3, 2, r2) - (1.0 + r2) ** -1.3)
-            / (1.0 + r2) ** -1.3
-        )
-    )
-    return [
-        {"name": "confluent_branch_overlap", "max_deviation": worst_1f1, "tolerance": 1e-9},
-        {"name": "gauss_branch_overlap", "max_deviation": worst_2f1, "tolerance": 1e-9},
-        {"name": "order_zero_gaussian", "max_deviation": zero_g, "tolerance": 1e-12},
-        {"name": "order_zero_algebraic", "max_deviation": zero_a, "tolerance": 1e-12},
-    ]
-
-
-def _validate_gamma() -> list[dict]:
-    worst = 0.0
-    fact = 1.0
-    for k in range(1, 21):
-        worst = max(worst, abs(gamma_fn(float(k)) - fact) / fact)
-        fact *= k
-    root_pi = math.sqrt(math.pi)
-    half_values = {
-        0.5: root_pi,
-        1.5: root_pi / 2.0,
-        2.5: 3.0 * root_pi / 4.0,
-        -0.5: -2.0 * root_pi,
-        -1.5: 4.0 * root_pi / 3.0,
-        -2.5: -8.0 * root_pi / 15.0,
-    }
-    worst_half = max(
-        abs(gamma_fn(x) - v) / abs(v) for x, v in half_values.items()
-    )
-    poles_ok = True
-    for x in (0.0, -1.0, -7.0):
-        try:
-            gamma_fn(x)
-            poles_ok = False
-        except PoleError:
-            pass
-    return [
-        {"name": "integer_factorials", "max_deviation": worst, "tolerance": 1e-13},
-        {"name": "half_integer_values", "max_deviation": worst_half, "tolerance": 1e-13},
-        {"name": "pole_detection", "max_deviation": 0.0 if poles_ok else 1.0, "tolerance": 0.5},
-    ]
-
-
 def _cmd_validate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    checks = {"lemmas": _validate_lemmas, "hyp": _validate_hyp, "gamma": _validate_gamma}[
-        args.suite
-    ]()
-    for check in checks:
-        check["pass"] = bool(check["max_deviation"] <= check["tolerance"])
+    checks = self_checks(args.suite)
     all_pass = all(c["pass"] for c in checks)
     report = {"suite": args.suite, "checks": checks, "all_pass": all_pass}
     name = "validate_report.json"
-    _write_json(out_dir / name, report)
-    _manifest(out_dir, "validate", {"suite": args.suite},
+    _write_json(args.out_dir / name, report)
+    _manifest(args.out_dir, "validate", {"suite": args.suite},
               {"total": time.perf_counter() - t0}, [name])
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if all_pass else 2
@@ -416,7 +304,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fracspec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fracspec {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=".", help="directory for output files")
+    common.add_argument("--out-dir", type=Path, default=Path("."),
+                        help="directory for output files")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("nodes", parents=[common], help="emit the mapped collocation nodes")
@@ -468,6 +357,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args)
     except NumericalContractError as exc:

@@ -21,10 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .errors import DegenerateExponent, NonFiniteState
 from .fraclap import build_axis_factors
 from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, build_fracplap
-from .grid import Grid1D, make_grid
+from .grid import Grid1D, _checked_n, make_grid
 
 _DEGENERATE_TOL = 1e-14
 
@@ -43,14 +44,10 @@ class EvolutionConfig:
     snapshot_times: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s must lie in (0, 1), got {self.s!r}")
-        if not self.p >= 1:
-            raise ValueError(f"p must be at least 1, got {self.p!r}")
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
+        object.__setattr__(self, "n", checked_dimension(self.n))
+        object.__setattr__(self, "s", checked_order(self.s))
+        object.__setattr__(self, "p", checked_exponent(self.p))
+        object.__setattr__(self, "N", _checked_n(self.N))
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L!r}")
         if not self.dt > 0:
@@ -100,10 +97,7 @@ def quad_mass(U: np.ndarray, grids: Sequence[Grid1D]) -> float:
     The cotangent map turns each axis integral into
     (pi L / N) * sum of samples / sin(xi)^2.
     """
-    U = np.asarray(U, dtype=float)
-    shape = tuple(g.N for g in grids)
-    if U.shape != shape:
-        raise ValueError(f"field shape {U.shape} does not match grids {shape}")
+    U = checked_field(U, [g.N for g in grids])
     total = U
     for axis, g in enumerate(grids):
         w = np.sin(g.xi) ** 2
@@ -121,14 +115,9 @@ def self_similar_params(n: int, s: float, p: float) -> SelfSimilarParams:
     when p <= p_c; raises DegenerateExponent when the denominator of beta
     vanishes.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    s = float(s)
-    p = float(p)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s!r}")
-    if not p >= 1:
-        raise ValueError(f"p must be at least 1, got {p!r}")
+    n = checked_dimension(n)
+    s = checked_order(s)
+    p = checked_exponent(p)
     denom = s * p - n * (2.0 - p)
     if abs(denom) <= _DEGENERATE_TOL:
         raise DegenerateExponent(
@@ -168,23 +157,6 @@ def rescale_section(
     return cr * np.asarray(x, dtype=float), cv * np.asarray(u, dtype=float)
 
 
-def unrescale_section(
-    r: np.ndarray,
-    v: np.ndarray,
-    mass: float,
-    t: float,
-    params: SelfSimilarParams,
-    p: float,
-    s: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert rescale_section, dividing by the same precomputed factors."""
-    if mass <= 0.0 or t <= 0.0:
-        return np.array(r, dtype=float), np.array(v, dtype=float)
-    cr = mass ** ((2.0 - p) * params.beta) * t ** (-params.beta)
-    cv = mass ** (-s * p * params.beta) * t**params.alpha
-    return np.asarray(r, dtype=float) / cr, np.asarray(v, dtype=float) / cv
-
-
 def rk4_step(U: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update for dU/dt = rhs(U)."""
     if not dt > 0:
@@ -213,9 +185,7 @@ def run_evolution(
     whose difference table fits builds the batched kernel once and reuses
     it.  Raises NonFiniteState as soon as any field entry stops being finite.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != config.shape:
-        raise ValueError(f"u0 shape {u0.shape} does not match {config.shape}")
+    u0 = checked_field(u0, config.shape)
     grids = config_grids(config)
     factor = build_axis_factors([config.N])[0]
     op = build_fracplap(

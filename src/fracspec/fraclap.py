@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import checked_field, checked_order
 from .eigen import SpectralFactor, factorize
 from .errors import NumericalContractError
 from .grid import build_diff_matrices, make_grid
@@ -54,33 +55,36 @@ def build_axis_factors(dims: Sequence[int]) -> tuple[SpectralFactor, ...]:
     return tuple(factors)
 
 
+def _power_tensor(
+    factors: Sequence[SpectralFactor],
+    scales: Sequence[float],
+    order: float,
+) -> np.ndarray:
+    """Read-only entrywise ``order`` power of the negated eigenvalue sums.
+
+    ``eigen_sum_tensor`` refuses an empty axis list, a factor/scale count
+    mismatch and a nonpositive scale.
+    """
+    pow_tensor = hadamard_pow_neg(eigen_sum_tensor([f.lam for f in factors], scales), order)
+    pow_tensor.flags.writeable = False
+    return pow_tensor
+
+
 def build_fraclap(
     factors: Sequence[SpectralFactor],
     scales: Sequence[float],
     s: float,
 ) -> FracLapOperator:
     """Assemble the operator of order s in (0, 1), strict at both ends."""
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie strictly inside (0, 1), got {s!r}")
+    s = checked_order(s)
     factors = tuple(factors)
     scales = tuple(float(L) for L in scales)
-    if len(factors) != len(scales):
-        raise ValueError(
-            f"{len(factors)} factors but {len(scales)} scales"
-        )
-    if not factors:
-        raise ValueError("at least one dimension required")
-    if any(L <= 0 for L in scales):
-        raise ValueError(f"scales must be positive, got {scales!r}")
-    lam = eigen_sum_tensor([f.lam for f in factors], scales)
-    pow_tensor = hadamard_pow_neg(lam, s)
+    pow_tensor = _power_tensor(factors, scales, s)
     zeros = int(np.count_nonzero(pow_tensor == 0.0))
     if zeros != 1:
         raise NumericalContractError(
             f"power tensor must vanish on exactly one mode, found {zeros}"
         )
-    pow_tensor.flags.writeable = False
     return FracLapOperator(factors=factors, scales=scales, s=s, pow_tensor=pow_tensor)
 
 
@@ -100,8 +104,5 @@ def from_eigenbasis(factors: Sequence[SpectralFactor], U: np.ndarray) -> np.ndar
 
 def apply_fraclap(op: FracLapOperator, U: np.ndarray) -> np.ndarray:
     """Evaluate the operator on a sample tensor of matching shape."""
-    U = np.asarray(U, dtype=float)
-    if U.shape != op.shape:
-        raise ValueError(f"field shape {U.shape} does not match grid {op.shape}")
-    tilde = to_eigenbasis(op.factors, U)
+    tilde = to_eigenbasis(op.factors, checked_field(U, op.shape))
     return from_eigenbasis(op.factors, op.pow_tensor * tilde)

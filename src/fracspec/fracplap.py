@@ -29,11 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
 from .errors import MemoryGuardError, PoleError
-from .fraclap import from_eigenbasis, to_eigenbasis
+from .fraclap import _power_tensor, from_eigenbasis, to_eigenbasis
 # mode_product stays bound here: the benchmark's tracer self-test wraps this binding
-from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mode_product, tuple_iter
+from .tensor_ops import mode_product, tuple_iter
 
 # square difference-table budget for the batched route
 DEFAULT_MEM_BUDGET = 2**31
@@ -83,8 +84,7 @@ def signed_power(t: np.ndarray | float, p: float) -> np.ndarray:
     Defined for every real t and p >= 1; p = 2 short-circuits to the
     identity.  Allocates one array of t's size.
     """
-    if not p >= 1:
-        raise ValueError(f"p must be at least 1, got {p!r}")
+    p = checked_exponent(p)
     t = np.asarray(t, dtype=float)
     if p == 2.0:
         return t.copy()
@@ -103,14 +103,9 @@ def plap_constant(n: int, s: float, p: float) -> float:
     signature symmetry; the value does not depend on it.  At p = 2 the
     constant collapses to -1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    s = float(s)
-    p = float(p)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s!r}")
-    if not p >= 1:
-        raise ValueError(f"p must be at least 1, got {p!r}")
+    checked_dimension(n)
+    s = checked_order(s)
+    p = checked_exponent(p)
     half_sp = 0.5 * s * p
     nearest = round(half_sp)
     if nearest >= 1 and abs(half_sp - nearest) <= _POLE_TOL:
@@ -130,29 +125,18 @@ def build_fracplap(
     p: float,
 ) -> FracPOperator:
     """Assemble the operator; raises PoleError when sp/2 is a positive integer."""
-    s = float(s)
-    p = float(p)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie strictly inside (0, 1), got {s!r}")
+    s = checked_order(s)
+    p = checked_exponent(p)
     factors = tuple(factors)
     scales = tuple(float(L) for L in scales)
-    if len(factors) != len(scales):
-        raise ValueError(f"{len(factors)} factors but {len(scales)} scales")
-    if not factors:
-        raise ValueError("at least one dimension required")
-    if any(L <= 0 for L in scales):
-        raise ValueError(f"scales must be positive, got {scales!r}")
-    c_const = plap_constant(len(factors), s, p)
-    lam = eigen_sum_tensor([f.lam for f in factors], scales)
-    pow_tensor = hadamard_pow_neg(lam, 0.5 * s * p)
-    pow_tensor.flags.writeable = False
+    pow_tensor = _power_tensor(factors, scales, 0.5 * s * p)
     return FracPOperator(
         factors=factors,
         scales=scales,
         s=s,
         p=p,
         pow_tensor=pow_tensor,
-        c_const=c_const,
+        c_const=plap_constant(len(factors), s, p),
     )
 
 
@@ -172,9 +156,7 @@ def apply_plap_pointwise(op: FracPOperator, U: np.ndarray) -> np.ndarray:
     the route for grids whose difference table exceeds the budget, and the
     reference the batched route is tested against.
     """
-    U = np.asarray(U, dtype=float)
-    if U.shape != op.shape:
-        raise ValueError(f"field shape {U.shape} does not match grid {op.shape}")
+    U = checked_field(U, op.shape)
     out = np.empty(op.shape)
     for tup, _ in tuple_iter(op.shape):
         out[tuple(i - 1 for i in tup)] = _point_value(op, U, tup)
@@ -198,9 +180,7 @@ def apply_plap_batched(
     its size, 8 * prod(N)**2 bytes each.  Raises MemoryGuardError, before
     any allocation, when one table exceeds ``mem_budget``.
     """
-    U = np.asarray(U, dtype=float)
-    if U.shape != op.shape:
-        raise ValueError(f"field shape {U.shape} does not match grid {op.shape}")
+    U = checked_field(U, op.shape)
     if not batched_fits(op, mem_budget):
         raise MemoryGuardError(
             f"difference table needs {8 * U.size**2} bytes, budget is {mem_budget}"

@@ -6,7 +6,7 @@ The grid places N first-kind Chebyshev angles
 
 on (0, pi) and maps them to physical nodes x_j = L*cot(xi_j), which tile the
 whole real axis with algebraic clustering controlled by the scale L.  Samples
-u(x_j) are extended across xi = pi (even, odd, or periodic), differentiated
+u(x_j) are extended evenly across xi = pi, differentiated
 with the trigonometric spectral matrices for 2N equispaced points, and mapped
 back by the chain rule.  Only the first ceil(N/2) rows are ever assembled
 explicitly; the rest follow from the reflection symmetry of the node set.
@@ -18,17 +18,8 @@ Matrices returned here are unscaled: ``Dx @ u`` approximates ``L * u'`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class ExtensionKind(Enum):
-    """How samples are continued across the far-field angle xi = pi."""
-
-    EVEN = "even"
-    ODD = "odd"
-    PERIODIC = "periodic"
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,6 @@ class DiffMatrices:
 
     Dx: np.ndarray
     Dxx: np.ndarray
-    extension: ExtensionKind
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -73,8 +63,7 @@ def make_grid(N: int, L: float) -> Grid1D:
     -------
     Grid1D
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    N = _checked_n(N)
     if not L > 0:
         raise ValueError(f"L must be positive, got {L!r}")
     L = float(L)
@@ -88,7 +77,7 @@ def make_grid(N: int, L: float) -> Grid1D:
     if N % 2 == 1:
         x[half - 1] = 0.0
     x[half:] = -x[N - half - 1 :: -1]
-    return Grid1D(N=int(N), L=L, xi=_freeze(xi), x=_freeze(x))
+    return Grid1D(N=N, L=L, xi=_freeze(xi), x=_freeze(x))
 
 
 def angular_first_deriv_row(N: int) -> np.ndarray:
@@ -136,40 +125,29 @@ def _checked_n(N: int) -> int:
     return int(N)
 
 
-def folded_rows(c: np.ndarray, extension: ExtensionKind, N: int) -> np.ndarray:
+def folded_rows(c: np.ndarray, N: int) -> np.ndarray:
     """Fold a length-3N circulant row into the first ceil(N/2) matrix rows.
 
-    The 2N-column differentiation matrix applied to the extension of an
-    N-vector collapses, column pair by column pair, to an N-column matrix.
-    Row i (0-based), column q of the result is
+    The 2N-column differentiation matrix applied to the even extension of
+    an N-vector collapses, column pair by column pair, to an N-column
+    matrix.  Row i (0-based), column q of the result is
 
-        c[2N + q - i] + sigma * c[2N - 1 - q - i]
-
-    with sigma = +1 for the even extension and -1 for the odd one.  The
-    periodic extension instead adds the unreflected window c[N + q - i].
+        c[2N + q - i] + c[2N - 1 - q - i].
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size != 3 * N:
         raise ValueError(f"expected a flat vector of length {3 * N}, got shape {c.shape}")
-    if not isinstance(extension, ExtensionKind):
-        raise TypeError(f"extension must be an ExtensionKind, got {extension!r}")
     half = (N + 1) // 2
     rows = np.arange(half)[:, None]
     cols = np.arange(N)[None, :]
-    first = c[2 * N + cols - rows]
-    if extension is ExtensionKind.PERIODIC:
-        return first + c[N + cols - rows]
-    second = c[2 * N - 1 - cols - rows]
-    if extension is ExtensionKind.EVEN:
-        return first + second
-    return first - second
+    return c[2 * N + cols - rows] + c[2 * N - 1 - cols - rows]
 
 
-def build_diff_matrices(grid: Grid1D, extension: ExtensionKind = ExtensionKind.EVEN) -> DiffMatrices:
+def build_diff_matrices(grid: Grid1D) -> DiffMatrices:
     """Assemble the unscaled N-by-N derivative matrices for a grid.
 
-    Only the even extension supports full-matrix assembly; the reflection
-    fill used for the bottom rows relies on it.  The top ceil(N/2) rows are
+    The reflection fill used for the bottom rows relies on the even
+    extension.  The top ceil(N/2) rows are
 
         Dx  = -diag(sin(xi)^2) * (Dxi  folded),
         Dxx =  diag(sin(xi)^4) * (Dxixi folded) - diag(sin(2 xi)) * Dx,
@@ -177,8 +155,6 @@ def build_diff_matrices(grid: Grid1D, extension: ExtensionKind = ExtensionKind.E
     and the bottom rows follow from Dx[N-1-i, N-1-j] = -Dx[i, j] and
     Dxx[N-1-i, N-1-j] = Dxx[i, j], which then hold exactly for all i, j.
     """
-    if extension is not ExtensionKind.EVEN:
-        raise ValueError("full derivative matrices are assembled for the even extension only")
     N = grid.N
     half = (N + 1) // 2
     xi_top = grid.xi[:half]
@@ -190,15 +166,15 @@ def build_diff_matrices(grid: Grid1D, extension: ExtensionKind = ExtensionKind.E
         # keeps the exact reflection symmetry instead of picking up the
         # rounding of the float pi.
         s2x[-1] = 0.0
-    dx_top = -s2[:, None] * folded_rows(angular_first_deriv_row(N), extension, N)
-    dxx_top = s4[:, None] * folded_rows(angular_second_deriv_row(N), extension, N) - s2x[:, None] * dx_top
+    dx_top = -s2[:, None] * folded_rows(angular_first_deriv_row(N), N)
+    dxx_top = s4[:, None] * folded_rows(angular_second_deriv_row(N), N) - s2x[:, None] * dx_top
     Dx = np.empty((N, N))
     Dxx = np.empty((N, N))
     Dx[:half] = dx_top
     Dxx[:half] = dxx_top
     Dx[half:] = -dx_top[N - half - 1 :: -1, ::-1]
     Dxx[half:] = dxx_top[N - half - 1 :: -1, ::-1]
-    return DiffMatrices(Dx=_freeze(Dx), Dxx=_freeze(Dxx), extension=extension)
+    return DiffMatrices(Dx=_freeze(Dx), Dxx=_freeze(Dxx))
 
 
 def differentiate(dm: DiffMatrices, samples: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:

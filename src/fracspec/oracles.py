@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checks import checked_dimension, checked_order
 from .errors import NoConvergence, PoleError, QuadratureError
 
 # convergence declared when the running term drops below this fraction of
@@ -278,9 +279,7 @@ def _checked_order(s: float, n: int) -> tuple[float, int]:
     s = float(s)
     if not 0.0 <= s < 1.0:
         raise ValueError(f"s must lie in [0, 1), got {s!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return s, int(n)
+    return s, checked_dimension(n)
 
 
 def _checked_radius(r2):
@@ -292,12 +291,9 @@ def _checked_radius(r2):
 
 def _checked_mu_s(mu: float, s: float) -> tuple[float, float]:
     mu = float(mu)
-    s = float(s)
     if not mu < 0:
         raise ValueError(f"mu must be negative, got {mu!r}")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s!r}")
-    return mu, s
+    return mu, checked_order(s)
 
 
 def _graded_edges(levels: int, panels: int) -> np.ndarray:
@@ -386,3 +382,110 @@ def semigroup_integral_oracle(mu: float, s: float) -> IntegralCheck:
     numeric = head + fine - 1.0 / s
     closed = math.gamma(-s) * (-mu) ** s
     return IntegralCheck(numeric=numeric, closed=closed)
+
+
+def _lemma_checks() -> list[dict]:
+    mus = (-0.5, -1.0, -4.0)
+    ss = (0.2, 0.5, 0.8)
+    worst_res = worst_semi = worst_chain = 0.0
+    for mu in mus:
+        for s in ss:
+            r1 = resolvent_integral_oracle(mu, s)
+            r2 = semigroup_integral_oracle(mu, s)
+            worst_res = max(worst_res, abs(r1.numeric - r1.closed) / abs(r1.closed))
+            worst_semi = max(worst_semi, abs(r2.numeric - r2.closed) / abs(r2.closed))
+            chain = abs(r2.closed - r1.closed / gamma_fn(1.0 + s)) / abs(r2.closed)
+            worst_chain = max(worst_chain, chain)
+    return [
+        {"name": "resolvent_quadrature", "max_deviation": worst_res, "tolerance": 1e-6},
+        {"name": "semigroup_quadrature", "max_deviation": worst_semi, "tolerance": 1e-6},
+        {"name": "power_chain_identity", "max_deviation": worst_chain, "tolerance": 1e-12},
+    ]
+
+
+def _hyp_checks() -> list[dict]:
+    w = np.linspace(45.0, 55.0, 41)
+    worst_1f1 = 0.0
+    for a, b in ((0.63, 0.5), (2.13, 2.0), (1.2, 1.5)):
+        series, _, _ = _series_1f1(b - a, b, w)
+        near = np.exp(-w) * series
+        far, _, _ = _asymp_1f1(a, b, w)
+        worst_1f1 = max(worst_1f1, float(np.max(np.abs(near - far) / np.abs(far))))
+    z = -w
+    worst_2f1 = 0.0
+    for a, b, c in ((1.3, 0.63, 0.5), (0.7, 1.8, 1.5)):
+        pfaff, _, _ = _series_2f1(a, c - b, c, z / (z - 1.0), 40000)
+        near = (1.0 - z) ** (-a) * pfaff
+        # connection-branch values at the same z, forced through the far path
+        s1, _, _ = _series_2f1(a, a - c + 1.0, a - b + 1.0, 1.0 / z, 400)
+        s2, _, _ = _series_2f1(b, b - c + 1.0, b - a + 1.0, 1.0 / z, 400)
+        g1 = gamma_fn(c) * gamma_fn(b - a) / (gamma_fn(b) * gamma_fn(c - a))
+        g2 = gamma_fn(c) * gamma_fn(a - b) / (gamma_fn(a) * gamma_fn(c - b))
+        far = g1 * w ** (-a) * s1 + g2 * w ** (-b) * s2
+        worst_2f1 = max(worst_2f1, float(np.max(np.abs(near - far) / np.abs(far))))
+    r2 = np.array([0.0, 0.4, 3.0, 90.0, 1e5])
+    zero_g = float(np.max(np.abs(exact_fraclap_gaussian(0.0, 3, r2) - np.exp(-r2))))
+    zero_a = float(
+        np.max(
+            np.abs(exact_fraclap_algebraic(0.0, 1.3, 2, r2) - (1.0 + r2) ** -1.3)
+            / (1.0 + r2) ** -1.3
+        )
+    )
+    return [
+        {"name": "confluent_branch_overlap", "max_deviation": worst_1f1, "tolerance": 1e-9},
+        {"name": "gauss_branch_overlap", "max_deviation": worst_2f1, "tolerance": 1e-9},
+        {"name": "order_zero_gaussian", "max_deviation": zero_g, "tolerance": 1e-12},
+        {"name": "order_zero_algebraic", "max_deviation": zero_a, "tolerance": 1e-12},
+    ]
+
+
+def _gamma_checks() -> list[dict]:
+    worst = 0.0
+    fact = 1.0
+    for k in range(1, 21):
+        worst = max(worst, abs(gamma_fn(float(k)) - fact) / fact)
+        fact *= k
+    root_pi = math.sqrt(math.pi)
+    half_values = {
+        0.5: root_pi,
+        1.5: root_pi / 2.0,
+        2.5: 3.0 * root_pi / 4.0,
+        -0.5: -2.0 * root_pi,
+        -1.5: 4.0 * root_pi / 3.0,
+        -2.5: -8.0 * root_pi / 15.0,
+    }
+    worst_half = max(
+        abs(gamma_fn(x) - v) / abs(v) for x, v in half_values.items()
+    )
+    poles_ok = True
+    for x in (0.0, -1.0, -7.0):
+        try:
+            gamma_fn(x)
+            poles_ok = False
+        except PoleError:
+            pass
+    return [
+        {"name": "integer_factorials", "max_deviation": worst, "tolerance": 1e-13},
+        {"name": "half_integer_values", "max_deviation": worst_half, "tolerance": 1e-13},
+        {"name": "pole_detection", "max_deviation": 0.0 if poles_ok else 1.0, "tolerance": 0.5},
+    ]
+
+
+_SUITES = {"lemmas": _lemma_checks, "hyp": _hyp_checks, "gamma": _gamma_checks}
+
+
+def self_checks(suite: str) -> list[dict]:
+    """Run one self-check suite of the oracles: "lemmas", "hyp" or "gamma".
+
+    "lemmas" checks the two integral identities and the Gamma(1 + s) chain
+    between them, "hyp" the hand-over between series and large-argument
+    branches and the order-zero limits, "gamma" known Gamma values and
+    poles.  Each check is a dict with ``name``, ``max_deviation``,
+    ``tolerance`` and ``pass`` (deviation within tolerance).
+    """
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {sorted(_SUITES)}")
+    checks = _SUITES[suite]()
+    for check in checks:
+        check["pass"] = bool(check["max_deviation"] <= check["tolerance"])
+    return checks

@@ -130,7 +130,8 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
     """Write a tensor as CSV rows ``i_1,...,i_n,value`` in tuple_iter order.
 
     Values use 17 significant digits and newline line endings.  A JSON
-    sidecar ``<path stem>.json`` records the shape.  Returns the sidecar path.
+    sidecar ``<path stem>.json`` records the shape, so ``path`` must not end
+    in ``.json``.  Returns the sidecar path.
     """
     arr = np.asarray(arr, dtype=float)
     shape = _checked_shape(arr.shape)
@@ -138,12 +139,12 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
     ndim = len(shape)
     header = ",".join(f"i{k + 1}" for k in range(ndim)) + ",value"
     path = os.fspath(path)
+    sidecar = _sidecar_path(path)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for indices, pos in tuple_iter(shape):
             row = ",".join(str(i) for i in indices)
             fh.write(f"{row},{flat[pos - 1]:.17g}\n")
-    sidecar = _sidecar_path(path)
     with open(sidecar, "w", newline="\n") as fh:
         json.dump({"shape": list(shape)}, fh)
         fh.write("\n")
@@ -185,4 +186,7 @@ def read_field_csv(path: str | os.PathLike) -> np.ndarray:
 
 def _sidecar_path(path: str) -> str:
     stem, ext = os.path.splitext(path)
-    return stem + ".json" if ext else path + ".json"
+    sidecar = stem + ".json" if ext else path + ".json"
+    if sidecar == path:
+        raise ValueError(f"field path {path!r} ends in .json, the name of its own shape sidecar")
+    return sidecar

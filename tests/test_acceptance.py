@@ -32,17 +32,15 @@ from fracspec import (
     exact_fraclap_gaussian,
     exact_fraclap_algebraic,
     factorize,
-    gamma_fn,
     gaussian_field,
     lorentzian_field,
     make_grid,
     plap_constant,
     quad_mass,
     radius_squared,
-    resolvent_integral_oracle,
     run_evolution,
     section_overlap_distance,
-    semigroup_integral_oracle,
+    self_checks,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -170,17 +168,12 @@ def test_gate_07_eigenvector_conditioning_power_law():
 
 
 def test_gate_08_integral_identity_grid():
-    worst_res = worst_semi = worst_chain = 0.0
-    for mu in (-0.5, -1.0, -4.0):
-        for s in (0.2, 0.5, 0.8):
-            r = resolvent_integral_oracle(mu, s)
-            g = semigroup_integral_oracle(mu, s)
-            worst_res = max(worst_res, abs(r.numeric - r.closed) / abs(r.closed))
-            worst_semi = max(worst_semi, abs(g.numeric - g.closed) / abs(g.closed))
-            worst_chain = max(
-                worst_chain,
-                abs(g.closed - r.closed / gamma_fn(1.0 + s)) / abs(g.closed),
-            )
+    # deviations from the shared check table, judged by this gate's own
+    # tolerances so that loosening the table cannot loosen the gate
+    dev = {c["name"]: c["max_deviation"] for c in self_checks("lemmas")}
+    worst_res = dev["resolvent_quadrature"]
+    worst_semi = dev["semigroup_quadrature"]
+    worst_chain = dev["power_chain_identity"]
     gate(worst_res <= 1e-6 and worst_semi <= 1e-6 and worst_chain <= 1e-12,
          "integral identities",
          f"resolvent {worst_res:.3e}, semigroup {worst_semi:.3e} (tol 1e-6), chain {worst_chain:.3e} (tol 1e-12)")

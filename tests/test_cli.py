@@ -142,6 +142,23 @@ def test_fraclap_rejects_mismatched_csv_shape(tmp_path):
     assert "parameter error" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [("fraclap",), ("fracplap", "--p", "2")],
+                         ids=["fraclap", "fracplap"])
+def test_compare_exact_refuses_csv_field_before_any_work(tmp_path, command):
+    from fracspec import gaussian_field, make_grid, write_field_csv
+
+    write_field_csv(tmp_path / "in.csv", gaussian_field([make_grid(8, 2.0)]))
+    out_dir = tmp_path / "out"
+    proc = run_cli(
+        *command, "--dims", "8", "--scales", "2.0", "--s", "0.5",
+        "--field", f"csv:{tmp_path / 'in.csv'}", "--compare-exact",
+        "--out-dir", str(out_dir),
+    )
+    assert proc.returncode == 1
+    assert "built-in field" in proc.stderr
+    assert list(out_dir.iterdir()) == []
+
+
 def test_fraclap_rejects_unknown_field(tmp_path):
     proc = run_cli(
         "fraclap", "--dims", "8", "--scales", "2.0", "--s", "0.5",
@@ -261,6 +278,16 @@ def test_evolve_writes_snapshots_and_report(tmp_path):
     assert report["initial_mass"] == pytest.approx(math.sqrt(math.pi), rel=1e-3)
     manifest = read_json(tmp_path / "evolve_manifest.json")
     assert manifest["parameters"]["N"] == 24
+
+
+def test_evolve_refuses_snapshot_times_sharing_a_file_name(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(TINY_CFG.replace("snapshot_times = 0.01,0.03", "snapshot_times = 0.02,0.02"))
+    out_dir = tmp_path / "out"
+    proc = run_cli("evolve", "--config", str(cfg), "--out-dir", str(out_dir))
+    assert proc.returncode == 1
+    assert "snap_t0.02.csv" in proc.stderr
+    assert list(out_dir.glob("snap_*.csv")) == []
 
 
 def test_evolve_missing_config_exits_one(tmp_path):

@@ -21,7 +21,6 @@ from fracspec import (
     run_evolution,
     section_overlap_distance,
     self_similar_params,
-    unrescale_section,
 )
 from fracspec.tensor_ops import mode_product
 
@@ -170,14 +169,17 @@ def test_params_validation():
 # ----------------------------------------------------------------------------
 
 
-def test_rescale_round_trip():
-    params = self_similar_params(1, 0.8, 1.8)
+def test_rescale_matches_self_similar_variables():
+    # r = M^((2-p) beta) t^(-beta) x and v = M^(-s p beta) t^alpha u
+    M, t, p, s = 1.7, 2.5, 1.8, 0.8
+    params = self_similar_params(1, s, p)
     x = np.linspace(-3.0, 3.0, 21)
     u = np.exp(-(x**2))
-    r, v = rescale_section(x, u, 1.7, 2.5, params, 1.8, 0.8)
-    x2, u2 = unrescale_section(r, v, 1.7, 2.5, params, 1.8, 0.8)
-    assert np.max(np.abs(x2 - x)) <= 1e-15 * np.max(np.abs(x))
-    assert np.max(np.abs(u2 - u)) <= 1e-15
+    r, v = rescale_section(x, u, M, t, params, p, s)
+    r_exact = M ** ((2.0 - p) * params.beta) * t ** (-params.beta) * x
+    v_exact = M ** (-s * p * params.beta) * t**params.alpha * u
+    assert np.max(np.abs(r - r_exact)) <= 1e-15 * np.max(np.abs(r_exact))
+    assert np.max(np.abs(v - v_exact)) <= 1e-15 * np.max(np.abs(v_exact))
 
 
 def test_rescale_changes_the_profile():
@@ -197,9 +199,6 @@ def test_rescale_identity_fallback(mass, t):
     r, v = rescale_section(x, u, mass, t, params, 1.8, 0.8)
     assert np.array_equal(r, x)
     assert np.array_equal(v, u)
-    r2, v2 = unrescale_section(x, u, mass, t, params, 1.8, 0.8)
-    assert np.array_equal(r2, x)
-    assert np.array_equal(v2, u)
 
 
 # ----------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fracspec import (
-    ExtensionKind,
     angular_first_deriv_row,
     angular_second_deriv_row,
     build_diff_matrices,
@@ -146,50 +145,29 @@ def test_second_deriv_row_diagonal_formula():
 
 def test_folding_all_ones_even_doubles():
     N = 6
-    out = folded_rows(np.ones(3 * N), ExtensionKind.EVEN, N)
+    out = folded_rows(np.ones(3 * N), N)
     assert np.array_equal(out, np.full(((N + 1) // 2, N), 2.0))
-
-
-def test_folding_all_ones_odd_cancels():
-    N = 6
-    out = folded_rows(np.ones(3 * N), ExtensionKind.ODD, N)
-    assert np.array_equal(out, np.zeros(((N + 1) // 2, N)))
 
 
 def test_folding_two_node_first_derivative_by_hand():
     # c = [0, 1/2, 0, -1/2, 0, 1/2]; row 0 pairs entries (4,3) and (5,2)
     c = angular_first_deriv_row(2)
-    out = folded_rows(c, ExtensionKind.EVEN, 2)
+    out = folded_rows(c, 2)
     assert out.shape == (1, 2)
     assert out[0, 0] == c[4] + c[3] == pytest.approx(-0.5, rel=1e-15)
     assert out[0, 1] == c[5] + c[2] == pytest.approx(0.5, rel=1e-15)
 
 
-def test_folding_periodic_uses_unreflected_window():
-    N = 4
-    c = np.arange(3.0 * N)
-    out = folded_rows(c, ExtensionKind.PERIODIC, N)
-    rows, cols = np.arange((N + 1) // 2)[:, None], np.arange(N)[None, :]
-    assert np.array_equal(out, c[2 * N + cols - rows] + c[N + cols - rows])
-
-
 def test_folding_rejects_wrong_length_and_type():
     with pytest.raises(ValueError):
-        folded_rows(np.ones(7), ExtensionKind.EVEN, 4)
-    with pytest.raises(TypeError):
-        folded_rows(np.ones(12), "even", 4)
+        folded_rows(np.ones(7), 4)
+    with pytest.raises(ValueError):
+        folded_rows(np.ones((3, 4)), 4)
 
 
 # ----------------------------------------------------------------------------
 # build_diff_matrices
 # ----------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", [ExtensionKind.ODD, ExtensionKind.PERIODIC])
-def test_full_matrices_require_even_extension(kind):
-    g = make_grid(8, 1.0)
-    with pytest.raises(ValueError):
-        build_diff_matrices(g, kind)
 
 
 @pytest.mark.parametrize("N", [7, 8, 64, 65])

@@ -269,3 +269,10 @@ def test_field_csv_read_rejects_repeated_index(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"\(4, 5\) appears twice"):
         read_field_csv(path)
+
+
+def test_field_csv_refuses_a_path_that_is_its_own_sidecar(tmp_path):
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError, match="sidecar"):
+        write_field_csv(path, np.zeros((2, 3)))
+    assert list(tmp_path.iterdir()) == []
