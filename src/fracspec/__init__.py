@@ -35,11 +35,9 @@ from .grid import (
 from .eigen import SpectralFactor, condition_number, factorize
 from .tensor_ops import (
     eigen_sum_tensor,
-    flat_index,
     hadamard_pow_neg,
     mode_product,
     read_field_csv,
-    tuple_iter,
     write_field_csv,
 )
 from .fields import gaussian_field, lorentzian_field, radius_squared
@@ -130,7 +128,6 @@ __all__ = [
     "exact_fraclap_algebraic",
     "exact_fraclap_gaussian",
     "factorize",
-    "flat_index",
     "folded_rows",
     "from_eigenbasis",
     "gamma_fn",
@@ -156,6 +153,5 @@ __all__ = [
     "semigroup_integral_oracle",
     "signed_power",
     "to_eigenbasis",
-    "tuple_iter",
     "write_field_csv",
 ]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import checked_field
+from .checks import checked_exponent, checked_field, checked_order
 from .errors import NumericalContractError
 from .eigen import condition_number, factorize
 from .evolution import config_grids, load_config, quad_mass, run_evolution
@@ -28,7 +28,7 @@ from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
 from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, batched_fits, build_fracplap
 from .grid import build_diff_matrices, make_grid
 from .oracles import exact_fraclap_algebraic, exact_fraclap_gaussian, self_checks
-from .tensor_ops import read_field_csv, write_field_csv
+from .tensor_ops import read_field_csv, write_csv, write_field_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,10 +113,7 @@ def _cmd_nodes(args) -> int:
     t0 = time.perf_counter()
     grid = make_grid(args.n, args.scale)
     name = "nodes.csv"
-    with open(args.out_dir / name, "w", newline="\n") as fh:
-        fh.write("j,xi,x\n")
-        for j in range(grid.N):
-            fh.write(f"{j + 1},{grid.xi[j]:.17g},{grid.x[j]:.17g}\n")
+    write_csv(args.out_dir / name, ["j", "xi", "x"], [np.arange(1, grid.N + 1), grid.xi, grid.x])
     timings = {"total": time.perf_counter() - t0}
     _manifest(args.out_dir, "nodes", {"n": args.n, "scale": args.scale}, timings, [name])
     print(f"wrote {args.out_dir / name}")
@@ -150,11 +147,12 @@ def _cmd_factor(args) -> int:
 
 def _cmd_fraclap(args) -> int:
     dims, scales, grids = _grid_setup(args)
+    checked_order(args.s)
+    U, kind, lor_r = _make_field(args.field, grids, dims)
     t0 = time.perf_counter()
     factors = build_axis_factors(dims)
     op = build_fraclap(factors, scales, args.s)
     t_build = time.perf_counter() - t0
-    U, kind, lor_r = _make_field(args.field, grids, dims)
     t0 = time.perf_counter()
     out = apply_fraclap(op, U)
     t_core = time.perf_counter() - t0
@@ -199,12 +197,14 @@ def _cmd_fracplap(args) -> int:
     if args.compare_exact and args.p != 2.0:
         raise ValueError("--compare-exact is only available for p = 2")
     dims, scales, grids = _grid_setup(args)
+    checked_order(args.s)
+    checked_exponent(args.p)
+    U, kind, lor_r = _make_field(args.field, grids, dims)
     t0 = time.perf_counter()
     factors = build_axis_factors(dims)
     op = build_fracplap(factors, scales, args.s, args.p)
     t_build = time.perf_counter() - t0
     _warn_sp_range(args.s, args.p)
-    U, kind, lor_r = _make_field(args.field, grids, dims)
     mode = "batch" if batched_fits(op, args.mem_budget) else "loop"
     t0 = time.perf_counter()
     out = apply_plap(op, U, args.mem_budget)
@@ -252,14 +252,8 @@ def _cmd_evolve(args) -> int:
     section_idx = (slice(None),) + (mid,) * (config.n - 1)
     outputs = []
     for name, snap in zip(names, snapshots):
-        section = snap.U[section_idx]
-        with open(args.out_dir / name, "w", newline="\n") as fh:
-            fh.write("x,u,r,v\n")
-            for k in range(config.N):
-                fh.write(
-                    f"{x[k]:.17g},{section[k]:.17g},"
-                    f"{snap.section_r[k]:.17g},{snap.section_v[k]:.17g}\n"
-                )
+        write_csv(args.out_dir / name, ["x", "u", "r", "v"],
+                  [x, snap.U[section_idx], snap.section_r, snap.section_v])
         outputs.append(name)
     masses = [[snap.t, snap.mass] for snap in snapshots]
     if mass0 != 0.0:

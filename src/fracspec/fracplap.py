@@ -34,7 +34,7 @@ from .eigen import SpectralFactor
 from .errors import MemoryGuardError, PoleError
 from .fraclap import _power_tensor, from_eigenbasis, to_eigenbasis
 # mode_product stays bound here: the benchmark's tracer self-test wraps this binding
-from .tensor_ops import mode_product, tuple_iter
+from .tensor_ops import mode_product
 
 # square difference-table budget for the batched route
 DEFAULT_MEM_BUDGET = 2**31
@@ -140,12 +140,11 @@ def build_fracplap(
     )
 
 
-def _point_value(op: FracPOperator, U: np.ndarray, tup: tuple[int, ...]) -> float:
-    idx = tuple(i - 1 for i in tup)
+def _point_value(op: FracPOperator, U: np.ndarray, idx: tuple[int, ...]) -> float:
     W = signed_power(U[idx] - U, op.p)
     G = op.pow_tensor * to_eigenbasis(op.factors, W)
-    for f, i in zip(op.factors, tup):
-        G = np.tensordot(f.P[i - 1], G, axes=(0, 0))
+    for f, i in zip(op.factors, idx):
+        G = np.tensordot(f.P[i], G, axes=(0, 0))
     return op.c_const * float(G)
 
 
@@ -158,8 +157,8 @@ def apply_plap_pointwise(op: FracPOperator, U: np.ndarray) -> np.ndarray:
     """
     U = checked_field(U, op.shape)
     out = np.empty(op.shape)
-    for tup, _ in tuple_iter(op.shape):
-        out[tuple(i - 1 for i in tup)] = _point_value(op, U, tup)
+    for idx in np.ndindex(op.shape):
+        out[idx] = _point_value(op, U, idx)
     return out
 
 

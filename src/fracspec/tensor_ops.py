@@ -1,10 +1,11 @@
 """Dense tensor helpers shared by the operator modules.
 
 Fields on an n-dimensional grid are plain numpy arrays of shape
-(N_1, ..., N_n).  Where a flat ordering matters (tuple iteration, the CSV
-format, the dense difference table) the convention is first index fastest,
-i.e. column-major: flat = (i_1 - 1) + N_1*(i_2 - 1) + N_1*N_2*(i_3 - 1) + ...
-for 1-based indices i_j.  ``numpy.ravel(A, order='F')`` realizes it.
+(N_1, ..., N_n).  Where a flat ordering matters (the field CSV rows, the
+dense difference table) the convention is first index fastest, i.e.
+column-major: ``numpy.ravel(A, order='F')``.  ``write_csv`` holds the one CSV
+number format; ``write_field_csv`` and ``read_field_csv`` add the field
+layout (1-based index columns, a JSON shape sidecar) on top of it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Iterator, Sequence
+import warnings
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from .errors import PositiveEntry
 # range before a fractional power of the negated tensor is refused
 _POSITIVE_TOL = 1e-12
 
-IndexTuple = tuple[int, ...]
+# rows formatted per write call; bounds the size of the joined string
+_CSV_CHUNK_ROWS = 65536
 
 
 def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -30,39 +33,6 @@ def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
     if len(shape) == 0 or any(n < 1 for n in shape):
         raise ValueError(f"shape must be non-empty with positive entries, got {shape}")
     return shape
-
-
-def flat_index(shape: Sequence[int], indices: Sequence[int]) -> int:
-    """1-based column-major flat position of a 1-based index tuple."""
-    shape = _checked_shape(shape)
-    if len(indices) != len(shape):
-        raise ValueError(f"expected {len(shape)} indices, got {len(indices)}")
-    flat = 0
-    stride = 1
-    for i, n in zip(indices, shape):
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range 1..{n}")
-        flat += (i - 1) * stride
-        stride *= n
-    return flat + 1
-
-
-def tuple_iter(shape: Sequence[int]) -> Iterator[tuple[IndexTuple, int]]:
-    """Yield every 1-based index tuple of a shape, flat position counting down.
-
-    Starts at the all-max tuple (flat = prod(shape)) and decrements the first
-    index fastest, odometer style, ending at the all-ones tuple (flat = 1).
-    """
-    shape = _checked_shape(shape)
-    total = math.prod(shape)
-    idx = list(shape)
-    for flat in range(total, 0, -1):
-        yield tuple(idx), flat
-        for k in range(len(shape)):
-            if idx[k] > 1:
-                idx[k] -= 1
-                break
-            idx[k] = shape[k]
 
 
 def mode_product(A: np.ndarray, U: np.ndarray, axis: int) -> np.ndarray:
@@ -126,25 +96,35 @@ def hadamard_pow_neg(T: np.ndarray, exponent: float) -> np.ndarray:
     return base ** float(exponent)
 
 
-def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
-    """Write a tensor as CSV rows ``i_1,...,i_n,value`` in tuple_iter order.
+def write_csv(path: str | os.PathLike, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length 1-d arrays as CSV columns under a header row of ``names``.
 
-    Values use 17 significant digits and newline line endings.  A JSON
-    sidecar ``<path stem>.json`` records the shape, so ``path`` must not end
-    in ``.json``.  Returns the sidecar path.
+    Integer columns print as integers and float columns with 17 significant
+    digits, enough to read every double back bitwise; lines end in ``\\n``.
+    """
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for a in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [c[a:a + _CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join([row % r for r in zip(*chunk)]))
+
+
+def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
+    """Write a tensor as CSV rows ``i1,...,in,value``, flat position counting down.
+
+    The rows run in descending column-major flat position: from the all-max
+    index tuple, first index fastest, to the all-ones tuple.  A JSON sidecar
+    ``<path stem>.json`` records the shape, so ``path`` must not end in
+    ``.json``.  Returns the sidecar path.
     """
     arr = np.asarray(arr, dtype=float)
     shape = _checked_shape(arr.shape)
-    flat = np.ravel(arr, order="F")
-    ndim = len(shape)
-    header = ",".join(f"i{k + 1}" for k in range(ndim)) + ",value"
     path = os.fspath(path)
     sidecar = _sidecar_path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for indices, pos in tuple_iter(shape):
-            row = ",".join(str(i) for i in indices)
-            fh.write(f"{row},{flat[pos - 1]:.17g}\n")
+    indices = np.indices(shape).reshape(len(shape), -1, order="F")[:, ::-1] + 1
+    names = [f"i{k + 1}" for k in range(len(shape))] + ["value"]
+    write_csv(path, names, [*indices, arr.ravel(order="F")[::-1]])
     with open(sidecar, "w", newline="\n") as fh:
         json.dump({"shape": list(shape)}, fh)
         fh.write("\n")
@@ -159,28 +139,28 @@ def read_field_csv(path: str | os.PathLike) -> np.ndarray:
     path = os.fspath(path)
     with open(_sidecar_path(path)) as fh:
         shape = _checked_shape(json.load(fh)["shape"])
-    flat = np.empty(math.prod(shape))
-    filled = bytearray(flat.size)
-    seen = 0
+    size = math.prod(shape)
     with open(path) as fh:
-        header = fh.readline()
-        ncols = header.count(",") + 1
+        ncols = fh.readline().count(",") + 1
         if ncols != len(shape) + 1:
             raise ValueError(f"CSV has {ncols} columns but the sidecar shape has {len(shape)} dims")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            indices = [int(p) for p in parts[:-1]]
-            k = flat_index(shape, indices) - 1
-            if filled[k]:
-                raise ValueError(f"index {tuple(indices)} appears twice")
-            filled[k] = 1
-            flat[k] = float(parts[-1])
-            seen += 1
-    if seen != flat.size:
-        raise ValueError(f"expected {flat.size} rows, found {seen}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=1,
+                              dtype=[("i", np.int64, (len(shape),)), ("v", float)])
+    indices = rows["i"]
+    bad = np.flatnonzero(((indices < 1) | (indices > shape)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"index {tuple(indices[bad[0]].tolist())} out of range for shape {shape}")
+    pos = np.ravel_multi_index(tuple((indices - 1).T), shape, order="F")
+    repeated = np.flatnonzero(np.bincount(pos, minlength=size) > 1)
+    if repeated.size:
+        first = indices[np.argmax(pos == repeated[0])]
+        raise ValueError(f"index {tuple(first.tolist())} appears twice")
+    if pos.size != size:
+        raise ValueError(f"expected {size} rows, found {pos.size}")
+    flat = np.empty(size)
+    flat[pos] = rows["v"]
     return flat.reshape(shape, order="F")
 
 

@@ -1,4 +1,8 @@
-"""End-to-end command-line checks, every invocation in a subprocess."""
+"""End-to-end command-line checks, each invocation in a subprocess.
+
+The pre-flight refusal checks call ``cli.main`` in-process instead, so they
+can replace the factorization with a function that fails if it runs.
+"""
 
 import csv
 import filecmp
@@ -72,6 +76,23 @@ def test_nodes_writes_full_precision_csv(tmp_path):
     assert manifest["subcommand"] == "nodes"
     assert manifest["outputs"] == ["nodes.csv"]
     assert "total" in manifest["timings"]
+
+
+# pins nodes.csv byte for byte: integer j, 17-digit floats, "\n" endings
+GOLDEN_NODES_CSV = """\
+j,xi,x
+1,0.31415926535897931,6.155367074350508
+2,0.94247779607693793,1.453085056010722
+3,1.5707963267948966,0
+4,2.1991148575128552,-1.453085056010722
+5,2.8274333882308138,-6.155367074350508
+"""
+
+
+def test_nodes_csv_golden_bytes(tmp_path):
+    proc = run_cli("nodes", "--n", "5", "--scale", "2.0", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "nodes.csv").read_bytes() == GOLDEN_NODES_CSV.encode()
 
 
 # ----------------------------------------------------------------------------
@@ -165,6 +186,31 @@ def test_fraclap_rejects_unknown_field(tmp_path):
         "--field", "sombrero", "--out-dir", str(tmp_path),
     )
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (("fraclap", "--s", "1.5"), "s must lie"),
+        (("fraclap", "--s", "0.5", "--field", "nope"), "unknown field"),
+        (("fracplap", "--s", "1.5", "--p", "2"), "s must lie"),
+        (("fracplap", "--s", "0.5", "--p", "0.5"), "p must be"),
+        (("fracplap", "--s", "0.5", "--p", "2", "--field", "nope"), "unknown field"),
+    ],
+    ids=["fraclap-s", "fraclap-field", "fracplap-s", "fracplap-p", "fracplap-field"],
+)
+def test_bad_parameters_are_refused_before_factorization(tmp_path, monkeypatch, capsys,
+                                                         argv, match):
+    """In-process, with the factorization replaced by a function that fails."""
+    from fracspec import cli
+
+    def no_factorization(dims):
+        raise AssertionError("build_axis_factors ran before the parameters were checked")
+
+    monkeypatch.setattr(cli, "build_axis_factors", no_factorization)
+    code = cli.main([*argv, "--dims", "8,9", "--scales", "2.0,2.0", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert match in capsys.readouterr().err
 
 
 def test_fraclap_rejects_dims_scales_mismatch(tmp_path):

@@ -1,4 +1,4 @@
-"""Flat ordering, mode products, eigenvalue-sum tensors, CSV round trips."""
+"""Mode products, eigenvalue-sum tensors, CSV round trips."""
 
 import numpy as np
 import pytest
@@ -6,71 +6,11 @@ import pytest
 from fracspec import (
     PositiveEntry,
     eigen_sum_tensor,
-    flat_index,
     hadamard_pow_neg,
     mode_product,
     read_field_csv,
-    tuple_iter,
     write_field_csv,
 )
-
-
-# ----------------------------------------------------------------------------
-# flat_index / tuple_iter
-# ----------------------------------------------------------------------------
-
-
-def test_flat_index_two_by_two_table():
-    assert flat_index((2, 2), (1, 1)) == 1
-    assert flat_index((2, 2), (2, 1)) == 2
-    assert flat_index((2, 2), (1, 2)) == 3
-    assert flat_index((2, 2), (2, 2)) == 4
-
-
-def test_flat_index_first_index_is_fastest():
-    assert flat_index((3, 4), (2, 3)) == 2 + (3 - 1) * 3
-
-
-def test_flat_index_rejects_bad_input():
-    with pytest.raises(ValueError):
-        flat_index((2, 2), (1,))
-    with pytest.raises(ValueError):
-        flat_index((2, 2), (0, 1))
-    with pytest.raises(ValueError):
-        flat_index((2, 2), (3, 1))
-    with pytest.raises(ValueError):
-        flat_index((), ())
-
-
-def test_tuple_iter_two_by_two_order():
-    assert list(tuple_iter((2, 2))) == [
-        ((2, 2), 4),
-        ((1, 2), 3),
-        ((2, 1), 2),
-        ((1, 1), 1),
-    ]
-
-
-def test_tuple_iter_vector_counts_down():
-    assert list(tuple_iter((3,))) == [((3,), 3), ((2,), 2), ((1,), 1)]
-
-
-@pytest.mark.parametrize("shape", [(2,), (4, 3), (2, 3, 4), (5, 1, 2)])
-def test_tuple_iter_agrees_with_flat_index(shape):
-    seen = set()
-    for tup, flat in tuple_iter(shape):
-        assert flat_index(shape, tup) == flat
-        seen.add(tup)
-    assert len(seen) == int(np.prod(shape))
-
-
-def test_tuple_iter_matches_fortran_ravel():
-    """Descending flat positions line up with reversed 'F'-order raveling."""
-    shape = (3, 4)
-    arr = np.arange(12.0).reshape(shape)
-    flat = np.ravel(arr, order="F")
-    for tup, pos in tuple_iter(shape):
-        assert flat[pos - 1] == arr[tuple(i - 1 for i in tup)]
 
 
 # ----------------------------------------------------------------------------
@@ -223,6 +163,37 @@ def test_field_csv_header_and_first_row(tmp_path):
     assert lines[-1] == "1,1,1"
 
 
+# pins the row order (descending column-major flat position) and the
+# 17-digit number format byte for byte
+GOLDEN_FIELD_CSV = """\
+i1,i2,i3,value
+2,3,2,1.0000000000000001e-05
+1,3,2,1.0000000000000001e+300
+2,2,2,1.152921504606847e+18
+1,2,2,3.1415926535897931
+2,1,2,0.10000000000000001
+1,1,2,-0
+2,3,1,123456789
+1,3,1,-2.5
+2,2,1,-0.14285714285714285
+1,2,1,1e-300
+2,1,1,4.9406564584124654e-324
+1,1,1,0.33333333333333331
+"""
+
+
+def test_field_csv_golden_bytes(tmp_path):
+    arr = np.array([
+        1.0 / 3.0, -0.0, 1e-300, np.pi, -2.5, 1e300,
+        5e-324, 0.1, -1.0 / 7.0, 2.0**60, 123456789.0, 1e-5,
+    ]).reshape(2, 3, 2)
+    path = tmp_path / "g.csv"
+    write_field_csv(path, arr)
+    assert path.read_bytes() == GOLDEN_FIELD_CSV.encode()
+    back = read_field_csv(path)
+    assert np.array_equal(back.view(np.int64), arr.view(np.int64))
+
+
 def test_field_csv_keeps_seventeen_digits(tmp_path):
     arr = np.array([1.0 / 3.0, np.pi, 1e-300])
     path = tmp_path / "digits.csv"
@@ -269,6 +240,38 @@ def test_field_csv_read_rejects_repeated_index(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"\(4, 5\) appears twice"):
         read_field_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        ("0,4,1.0", "out of range"),
+        ("4,4,1.0", "out of range"),
+        ("1.5,4,1.0", "1.5"),
+        ("3,4,1.0,2.0", "columns"),
+    ],
+    ids=["index-zero", "index-past-end", "non-integer-index", "extra-column"],
+)
+def test_field_csv_read_refuses_bad_rows(tmp_path, row, match):
+    path = tmp_path / "b.csv"
+    write_field_csv(path, np.zeros((3, 4)))
+    lines = path.read_text().splitlines()
+    lines[1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match):
+        read_field_csv(path)
+
+
+def test_field_csv_read_header_only_counts_zero_rows(tmp_path):
+    import warnings
+
+    path = tmp_path / "h.csv"
+    write_field_csv(path, np.zeros((3, 4)))
+    path.write_text("i1,i2,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expected 12 rows, found 0"):
+            read_field_csv(path)
 
 
 def test_field_csv_refuses_a_path_that_is_its_own_sidecar(tmp_path):
