@@ -13,13 +13,11 @@ from .errors import (
     MemoryGuardError,
     NoConvergence,
     NonFiniteState,
-    NonRealSpectrum,
     NumericalContractError,
     PoleError,
     PositiveEigenvalue,
     PositiveEntry,
     QuadratureError,
-    SingularEigenvectors,
     SingularMatrix,
 )
 from .grid import (
@@ -100,14 +98,12 @@ __all__ = [
     "MemoryGuardError",
     "NoConvergence",
     "NonFiniteState",
-    "NonRealSpectrum",
     "NumericalContractError",
     "PoleError",
     "PositiveEigenvalue",
     "PositiveEntry",
     "QuadratureError",
     "SelfSimilarParams",
-    "SingularEigenvectors",
     "SingularMatrix",
     "Snapshot",
     "SpectralFactor",

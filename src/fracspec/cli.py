@@ -123,19 +123,18 @@ def _cmd_nodes(args) -> int:
 def _cmd_factor(args) -> int:
     t0 = time.perf_counter()
     grid = make_grid(args.n, args.scale)
-    dm = build_diff_matrices(grid)
-    factor = factorize(dm.Dxx)
+    factor = factorize(grid)
+    Dxx = build_diff_matrices(grid).Dxx
     scale2 = args.scale * args.scale
     recon = factor.P @ (factor.lam[:, None] * factor.Pinv)
-    residual = float(
-        np.max(np.abs(recon - dm.Dxx)) / np.max(np.abs(dm.Dxx))
-    )
+    residual = float(np.max(np.abs(recon - Dxx)) / np.max(np.abs(Dxx)))
     report = {
         "N": factor.N,
         "min_lambda": float(np.min(factor.lam)) / scale2,
         "raw_zero_lambda": factor.raw_zero_lambda / scale2,
         "condition_number": condition_number(factor.P),
         "reconstruction_residual": residual,
+        "inverse_residual": float(np.max(np.abs(factor.Pinv @ factor.P - np.eye(factor.N)))),
     }
     name = "factor_report.json"
     _write_json(args.out_dir / name, report)

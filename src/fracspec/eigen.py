@@ -1,11 +1,17 @@
-"""Eigen-factorization of the second-derivative matrix.
+"""Eigen-factorization of the second-derivative matrix, real by construction.
 
-The even-extension second-derivative matrix has one eigenvalue at zero
-(constants differentiate to zero) and N-1 strictly negative ones.  The raw
-dense eigensolve returns the zero mode only to rounding, so the smallest
-magnitude eigenvalue is snapped to exactly 0 and its eigenvector replaced by
-the exact constant mode with unit Euclidean norm.  Fractional powers of the
-spectrum then never see a spurious sign.
+With sigma = sin(xi) the similarity ``S = diag(1/sigma) Dxx diag(sigma)`` is
+symmetric up to rounding, because ``W Dxx`` is for the quadrature weights
+``W = diag(1/sigma^2)``; it is symmetrized explicitly.  Its kernel is known
+exactly, the unit vector ``z`` proportional to ``1/sigma``, because ``Dxx``
+maps constants to zero.  A Householder reflector that sends ``z`` onto the
+first coordinate axis deflates that mode, and
+one symmetric eigensolve of the remaining ``(N-1)x(N-1)`` block gives the
+strictly negative rest of the spectrum.  The kernel eigenvalue is then an
+exact 0 with the exact constant eigenvector, the eigenvector matrix is
+orthogonal up to the diagonal similarity, and its inverse needs no solve:
+the kernel row of ``Pinv`` is the normalized quadrature weights, so the
+eigenbasis coefficient of the kernel mode is the discrete mass.
 """
 
 from __future__ import annotations
@@ -14,22 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonRealSpectrum, PositiveEigenvalue, SingularEigenvectors, SingularMatrix
-
-# imaginary parts above this (relative to the spectral radius) cannot be
-# dismissed as rounding of a real spectrum
-_IMAG_TOL = 1e-6
+from .errors import PositiveEigenvalue, SingularMatrix
+from .grid import Grid1D, build_diff_matrices
 
 
 @dataclass(frozen=True)
 class SpectralFactor:
-    """Diagonalization ``Dxx = P @ diag(lam) @ Pinv`` with a repaired kernel.
+    """Diagonalization ``Dxx = P @ diag(lam) @ Pinv`` with an exact kernel.
 
-    ``lam`` is sorted ascending, so ``lam[zero_index]`` is the exact 0 at the
-    end and every other entry is strictly negative.  Column ``zero_index`` of
-    ``P`` is the constant vector with entries ``N**-0.5``.  ``raw_zero_lambda``
-    keeps the eigenvalue the solver originally reported for the kernel mode,
-    purely as a diagnostic of solver noise.
+    ``lam`` is sorted ascending and real by construction: ``lam[zero_index]``
+    is the exact 0 at the end and every other entry is strictly negative.
+    Column ``zero_index`` of ``P`` is the constant vector with entries
+    ``N**-0.5``, and row ``zero_index`` of ``Pinv`` is ``sqrt(N) * w / sum(w)``
+    for the quadrature weights ``w = 1/sin(xi)**2``.  Columns of ``P`` have
+    unit norm, and ``Pinv`` is their exact inverse up to rounding.
+    ``raw_zero_lambda`` keeps the Rayleigh quotient of the exact kernel
+    vector, purely as a diagnostic of rounding in the matrix.
     """
 
     N: int
@@ -40,51 +46,51 @@ class SpectralFactor:
     raw_zero_lambda: float
 
 
-def factorize(Dxx: np.ndarray) -> SpectralFactor:
-    """Diagonalize a second-derivative matrix and repair its kernel mode.
+def factorize(grid: Grid1D) -> SpectralFactor:
+    """Diagonalize the grid's second-derivative matrix with its kernel deflated.
 
     Raises
     ------
-    NonRealSpectrum
-        if any eigenvalue has an imaginary part above 1e-6 of the largest
-        eigenvalue magnitude.
     PositiveEigenvalue
-        if an eigenvalue other than the snapped kernel mode is positive.
-    SingularEigenvectors
-        if the eigenvector matrix cannot be inverted.
+        if an eigenvalue outside the kernel mode is not strictly negative.
     """
-    Dxx = np.asarray(Dxx, dtype=float)
-    if Dxx.ndim != 2 or Dxx.shape[0] != Dxx.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {Dxx.shape}")
-    n = Dxx.shape[0]
-    w, v = np.linalg.eig(Dxx)
-    if np.iscomplexobj(w):
-        scale = float(np.max(np.abs(w)))
-        worst = float(np.max(np.abs(w.imag)))
-        if worst > _IMAG_TOL * scale:
-            raise NonRealSpectrum(
-                f"largest imaginary eigenvalue part {worst:.3e} exceeds {_IMAG_TOL:g} * {scale:.3e}"
-            )
-        w = w.real
-        v = v.real
-    order = np.argsort(w)
-    w = w[order].copy()
-    v = v[:, order].copy()
-    zi = int(np.argmin(np.abs(w)))
-    raw_zero = float(w[zi])
-    w[zi] = 0.0
-    if np.any(w > 0.0):
-        worst = float(np.max(w))
-        raise PositiveEigenvalue(f"positive eigenvalue {worst:.6e} after kernel repair")
-    v[:, zi] = n ** -0.5
-    try:
-        pinv = np.linalg.solve(v, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SingularEigenvectors(f"eigenvector matrix is singular: {exc}") from None
-    w.flags.writeable = False
-    v.flags.writeable = False
-    pinv.flags.writeable = False
-    return SpectralFactor(N=n, P=v, Pinv=pinv, lam=w, zero_index=zi, raw_zero_lambda=raw_zero)
+    n = grid.N
+    sigma = np.sin(grid.xi)
+    S = build_diff_matrices(grid).Dxx * (sigma[None, :] / sigma[:, None])
+    S = 0.5 * (S + S.T)
+    z = 1.0 / sigma
+    z /= np.linalg.norm(z)
+    # H = I - 2 u u^T maps z to -e_0; H S H = S - u k^T - k u^T, in place
+    u = z.copy()
+    u[0] += 1.0
+    u /= np.linalg.norm(u)
+    Su = S @ u
+    k = 2.0 * (Su - (u @ Su) * u)
+    S -= np.outer(u, k)
+    S -= np.outer(k, u)
+    lam, Qp = np.linalg.eigh(S[1:, 1:])
+    if np.any(lam >= 0.0):
+        raise PositiveEigenvalue(
+            f"eigenvalue {float(np.max(lam)):.6e} outside the kernel is not negative"
+        )
+    # eigenvectors of S: H applied to [0; Qp], then the kernel vector z
+    Q = np.empty((n, n))
+    Q[1:, :-1] = Qp
+    Q[0, :-1] = 0.0
+    Q[:, :-1] -= 2.0 * np.outer(u, u[1:] @ Qp)
+    Q[:, -1] = z
+    P = sigma[:, None] * Q
+    norms = np.linalg.norm(P, axis=0)
+    P /= norms
+    P[:, -1] = n ** -0.5  # sigma * z normalized, without its rounding
+    # P = diag(sigma) Q / norms with orthogonal Q, so no solve is needed
+    Pinv = np.ascontiguousarray(Q.T / sigma * norms[:, None])
+    lam = np.append(lam, 0.0)
+    for a in (P, Pinv, lam):
+        a.flags.writeable = False
+    return SpectralFactor(
+        N=n, P=P, Pinv=Pinv, lam=lam, zero_index=n - 1, raw_zero_lambda=float(S[0, 0])
+    )
 
 
 def condition_number(P: np.ndarray) -> float:

@@ -10,16 +10,8 @@ class NumericalContractError(Exception):
     """Base class for violations of the solver's numerical guarantees."""
 
 
-class NonRealSpectrum(NumericalContractError):
-    """Eigenvalues came back with imaginary parts beyond tolerance."""
-
-
 class PositiveEigenvalue(NumericalContractError):
-    """A repaired spectrum still contains a positive eigenvalue."""
-
-
-class SingularEigenvectors(NumericalContractError):
-    """The eigenvector matrix could not be inverted."""
+    """An eigenvalue outside the kernel mode is not strictly negative."""
 
 
 class SingularMatrix(NumericalContractError):

@@ -18,7 +18,7 @@ import numpy as np
 from .checks import checked_field, checked_order
 from .eigen import SpectralFactor, factorize
 from .errors import NumericalContractError
-from .grid import build_diff_matrices, make_grid
+from .grid import make_grid
 from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mode_product
 
 
@@ -47,12 +47,7 @@ def build_axis_factors(dims: Sequence[int]) -> tuple[SpectralFactor, ...]:
     The angular matrices depend only on the node count, so physical scales
     enter later through the eigenvalue division.
     """
-    factors = []
-    for N in dims:
-        grid = make_grid(int(N), 1.0)
-        dm = build_diff_matrices(grid)
-        factors.append(factorize(dm.Dxx))
-    return tuple(factors)
+    return tuple(factorize(make_grid(int(N), 1.0)) for N in dims)
 
 
 def _power_tensor(

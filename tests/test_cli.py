@@ -106,13 +106,15 @@ def test_factor_report_fields_and_scale_division(tmp_path):
     assert run_cli("factor", "--n", "24", "--scale", "2.0", "--out-dir", str(b_dir)).returncode == 0
     a = read_json(a_dir / "factor_report.json")
     b = read_json(b_dir / "factor_report.json")
-    for key in ("N", "min_lambda", "raw_zero_lambda", "condition_number", "reconstruction_residual"):
+    for key in ("N", "min_lambda", "raw_zero_lambda", "condition_number", "reconstruction_residual",
+                "inverse_residual"):
         assert key in a
     assert a["N"] == 24
     assert a["min_lambda"] < 0
     assert a["min_lambda"] == 4.0 * b["min_lambda"]
     assert a["condition_number"] == b["condition_number"]
     assert a["reconstruction_residual"] <= 1e-7
+    assert a["inverse_residual"] <= 1e-12
 
 
 # ----------------------------------------------------------------------------

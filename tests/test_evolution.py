@@ -12,9 +12,15 @@ from fracspec import (
     DegenerateExponent,
     EvolutionConfig,
     NonFiniteState,
+    apply_fraclap,
+    apply_plap_batched,
+    build_axis_factors,
+    build_fraclap,
+    build_fracplap,
     config_grids,
     gaussian_field,
     load_config,
+    make_grid,
     quad_mass,
     rescale_section,
     rk4_step,
@@ -103,6 +109,25 @@ def test_mass_validates_shape():
     grids = config_grids(small_config(N=16))
     with pytest.raises(ValueError):
         quad_mass(np.zeros(17), grids)
+
+
+@pytest.mark.parametrize("dims", [(501,), (20, 21), (12, 13, 9)])
+def test_operators_conserve_discrete_mass(dims):
+    """The kernel row of every Pinv is the quad_mass weights, so the linear
+    and p-Laplacian outputs carry zero discrete mass up to rounding."""
+    grids = [make_grid(N, 3.0 + 0.5 * k) for k, N in enumerate(dims)]
+    factors = build_axis_factors(dims)
+    for g, f in zip(grids, factors):
+        w = 1.0 / np.sin(g.xi) ** 2
+        want = math.sqrt(g.N) * w / w.sum()
+        assert np.max(np.abs(f.Pinv[f.zero_index] - want) / want) <= 1e-13
+    scales = [g.L for g in grids]
+    U = gaussian_field(grids)
+    for out in (
+        apply_fraclap(build_fraclap(factors, scales, 0.5), U),
+        apply_plap_batched(build_fracplap(factors, scales, 0.5, 1.7), U),
+    ):
+        assert abs(quad_mass(out, grids)) / quad_mass(np.abs(out), grids) <= 1e-15
 
 
 # ----------------------------------------------------------------------------
