@@ -10,7 +10,6 @@ integrates the associated evolution equation into self-similar variables.
 
 from .errors import (
     DegenerateExponent,
-    MemoryGuardError,
     NoConvergence,
     NonFiniteState,
     NumericalContractError,
@@ -63,7 +62,6 @@ from .fracplap import (
     DEFAULT_MEM_BUDGET,
     FracPOperator,
     apply_plap,
-    apply_plap_batched,
     apply_plap_pointwise,
     build_fracplap,
     plap_constant,
@@ -95,7 +93,6 @@ __all__ = [
     "Grid1D",
     "HypergeometricResult",
     "IntegralCheck",
-    "MemoryGuardError",
     "NoConvergence",
     "NonFiniteState",
     "NumericalContractError",
@@ -111,7 +108,6 @@ __all__ = [
     "angular_second_deriv_row",
     "apply_fraclap",
     "apply_plap",
-    "apply_plap_batched",
     "apply_plap_pointwise",
     "build_axis_factors",
     "build_diff_matrices",

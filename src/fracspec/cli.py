@@ -25,7 +25,7 @@ from .eigen import condition_number, factorize
 from .evolution import config_grids, load_config, quad_mass, run_evolution
 from .fields import gaussian_field, lorentzian_field, radius_squared
 from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
-from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, batched_fits, build_fracplap
+from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, build_fracplap, kernel_fits
 from .grid import build_diff_matrices, make_grid
 from .oracles import exact_fraclap_algebraic, exact_fraclap_gaussian, self_checks
 from .tensor_ops import read_field_csv, write_csv, write_field_csv
@@ -204,7 +204,7 @@ def _cmd_fracplap(args) -> int:
     op = build_fracplap(factors, scales, args.s, args.p)
     t_build = time.perf_counter() - t0
     _warn_sp_range(args.s, args.p)
-    mode = "batch" if batched_fits(op, args.mem_budget) else "loop"
+    mode = "cached" if kernel_fits(op, args.mem_budget) else "streamed"
     t0 = time.perf_counter()
     out = apply_plap(op, U, args.mem_budget)
     t_core = time.perf_counter() - t0
@@ -329,15 +329,16 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--field", default="gaussian")
     p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET,
-                   help="byte budget for the batched difference table; "
-                        "over it the pointwise loop runs")
+                   help="byte budget for the cached 8*M**2-byte kernel; "
+                        "over it the kernel rows are streamed")
     p.add_argument("--compare-exact", action="store_true",
                    help="compare against the closed form (p = 2 only)")
     p.set_defaults(func=_cmd_fracplap)
 
     p = sub.add_parser("evolve", parents=[common], help="integrate the evolution equation")
     p.add_argument("--config", required=True, help="flat key=value config file")
-    p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET)
+    p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET,
+                   help="byte budget for the cached kernel, as for fracplap")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("validate", parents=[common],

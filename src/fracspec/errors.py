@@ -34,10 +34,6 @@ class QuadratureError(NumericalContractError):
     """A reference quadrature failed its internal self-consistency check."""
 
 
-class MemoryGuardError(NumericalContractError):
-    """The dense difference table would exceed the memory budget."""
-
-
 class DegenerateExponent(NumericalContractError):
     """Self-similar exponents are undefined for this (n, s, p) combination."""
 

@@ -181,9 +181,10 @@ def run_evolution(
 ) -> list[Snapshot]:
     """Integrate from u0 at t = 0, one Snapshot per requested time.
 
-    Every right-hand side is ``apply_plap`` under ``mem_budget``, so a run
-    whose difference table fits builds the batched kernel once and reuses
-    it.  Raises NonFiniteState as soon as any field entry stops being finite.
+    Every right-hand side is ``apply_plap`` under ``mem_budget``: a run
+    whose kernel fits builds it once and reuses it, and a larger one streams
+    kernel rows in every call, with the same values.  Raises NonFiniteState
+    as soon as any field entry stops being finite.
     """
     u0 = checked_field(u0, config.shape)
     grids = config_grids(config)

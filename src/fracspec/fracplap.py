@@ -3,19 +3,18 @@
 Evaluating the operator at a grid point amounts to applying a linear
 fractional Laplacian of order s*p/2 to the odd-power difference field
 sgn(u(x0) - u)|u(x0) - u|^(p-1), reading off the value at x0, and scaling
-by a constant depending on (s, p) only.  Two evaluation routes implement
-the same arithmetic:
+by a constant depending on (s, p) only.  Two evaluations implement the
+same arithmetic:
 
-  * pointwise: loop over grid points, one difference field at a time,
-    bounded memory;
-  * batched: build the u-independent M x M kernel (M = prod(N_j)) once per
-    operator and cache it; each evaluation is then one weighted row sum of
-    the kernel against the square table of every odd-power difference.
+  * ``apply_plap_pointwise``: loop over grid points, one difference field
+    at a time through the eigenbasis; the reference for the other;
+  * ``apply_plap``: the u-independent M x M kernel (M = prod(N_j)) times the
+    quadrature weights, A = W K, which is symmetric, applied in row blocks
+    over the upper triangle.  The kernel is cached on the operator when its
+    8 * M**2 bytes fit the memory budget; otherwise each block rebuilds its
+    rows and drops them.
 
-``apply_plap`` is the entry point: it takes the batched route when one
-8 * M**2-byte table fits the memory budget and the pointwise loop otherwise.
-
-Route agreement is a standing test target, so neither route shortcuts
+Route agreement is a standing test target, so neither shortcuts
 through the other or through the linear operator, even at p = 2 where the
 difference-field reduction collapses algebraically.
 """
@@ -24,20 +23,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
-from .errors import MemoryGuardError, PoleError
-from .fraclap import _power_tensor, from_eigenbasis, to_eigenbasis
-# mode_product stays bound here: the benchmark's tracer self-test wraps this binding
+from .errors import PoleError
+from .fraclap import _power_tensor, to_eigenbasis
+from .grid import make_grid
 from .tensor_ops import mode_product
 
-# square difference-table budget for the batched route
+# byte budget for the cached kernel
 DEFAULT_MEM_BUDGET = 2**31
+# rows per block of the kernel and of each evaluation; fastest measured at M = 501
+_BLOCK_ROWS = 64
 _POLE_TOL = 1e-12
 
 
@@ -63,19 +64,16 @@ class FracPOperator:
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """Read-only c_const * P diag(pow_tensor) P^-1 over column-major flat
-        indices: 8 * prod(N)**2 bytes, built on first access and then kept.
+        """Read-only W * c_const * P diag(pow_tensor) P^-1, W the ``_weights``,
+        symmetric to rounding, over column-major flat indices: 8 * prod(N)**2
+        bytes, filled from ``_kernel_rows`` block by block on first use, then kept.
         """
         m = math.prod(self.shape)
-        # M x M inputs go in unnamed, so each is freed by the mode product that
-        # consumes it: two are alive at a time, plus tensordot's copies at n > 1
-        K = from_eigenbasis(
-            self.factors,
-            self.c_const * self.pow_tensor[..., None]
-            * to_eigenbasis(self.factors, np.eye(m).reshape(*self.shape, m, order="F")),
-        ).reshape(m, m, order="F")
-        K.flags.writeable = False
-        return K
+        A = np.empty((m, m))
+        for a in range(0, m, _BLOCK_ROWS):
+            A[a:a + _BLOCK_ROWS] = _kernel_rows(self, a, min(a + _BLOCK_ROWS, m))
+        A.flags.writeable = False
+        return A
 
 
 def signed_power(t: np.ndarray | float, p: float) -> np.ndarray:
@@ -162,31 +160,25 @@ def apply_plap_pointwise(op: FracPOperator, U: np.ndarray) -> np.ndarray:
     return out
 
 
-def batched_fits(op: FracPOperator, mem_budget: int) -> bool:
-    """Whether one 8 * prod(N)**2-byte difference table fits ``mem_budget``."""
-    m = math.prod(op.shape)
-    return 8 * m * m <= mem_budget
+def kernel_fits(op: FracPOperator, mem_budget: int) -> bool:
+    """Whether the 8 * prod(N)**2-byte kernel fits ``mem_budget``."""
+    return 8 * math.prod(op.shape) ** 2 <= mem_budget
 
 
-def apply_plap_batched(
-    op: FracPOperator,
-    U: np.ndarray,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
-) -> np.ndarray:
-    """Row sums of ``op.kernel`` times the table of signed_power(u_i - u_j).
+def _weights(op: FracPOperator) -> np.ndarray:
+    """``quad_mass``'s weights 1/sin(xi)**2, multiplied across axes, column-major flat."""
+    return reduce(np.kron, [1 / np.sin(make_grid(f.N, 1.0).xi) ** 2 for f in op.factors[::-1]])
 
-    Holds the cached kernel plus, per call, the table and one temporary of
-    its size, 8 * prod(N)**2 bytes each.  Raises MemoryGuardError, before
-    any allocation, when one table exceeds ``mem_budget``.
-    """
-    U = checked_field(U, op.shape)
-    if not batched_fits(op, mem_budget):
-        raise MemoryGuardError(
-            f"difference table needs {8 * U.size**2} bytes, budget is {mem_budget}"
-        )
-    uf = U.reshape(-1, order="F")
-    table = signed_power(uf[:, None] - uf[None, :], op.p)
-    return np.einsum("ij,ij->i", op.kernel, table).reshape(op.shape, order="F")
+
+def _kernel_rows(op: FracPOperator, a: int, b: int) -> np.ndarray:
+    """Rows a:b of the symmetric kernel as a (b - a) x prod(N) array."""
+    n = len(op.shape)
+    idx = np.unravel_index(np.arange(a, b), op.shape, order="F")
+    G = (op.c_const * _weights(op)[a:b]).reshape(-1, *(1,) * n) * op.pow_tensor
+    for axis, (f, i) in enumerate(zip(op.factors, idx)):
+        G *= f.P[i].reshape([b - a] + [f.N if k == axis else 1 for k in range(n)])
+        G = mode_product(f.Pinv.T, G, axis + 1)
+    return G.reshape(b - a, -1, order="F")
 
 
 def apply_plap(
@@ -194,9 +186,22 @@ def apply_plap(
     U: np.ndarray,
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> np.ndarray:
-    """Evaluate the operator by the batched route when ``batched_fits``,
-    else by the pointwise loop; both give the same values to rounding.
+    """Evaluate (1/w_i) sum_j A_ij signed_power(u_i - u_j), A = ``op.kernel``.
+
+    Each block of ``_BLOCK_ROWS`` rows adds its row sums to its own points
+    and, as A is symmetric and the odd power antisymmetric, subtracts its
+    column sums from the points after it.  Rows come from the cached kernel
+    when ``kernel_fits``, else from ``_kernel_rows`` per block; the blocks
+    are the same, so ``mem_budget`` changes memory, never values.
     """
-    if batched_fits(op, mem_budget):
-        return apply_plap_batched(op, U, mem_budget)
-    return apply_plap_pointwise(op, U)
+    U = checked_field(U, op.shape)
+    u = U.reshape(-1, order="F")
+    cached = kernel_fits(op, mem_budget)
+    out = np.zeros(u.size)
+    for a in range(0, u.size, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, u.size)
+        rows = op.kernel[a:b, a:] if cached else _kernel_rows(op, a, b)[:, a:]
+        T = signed_power(u[a:b, None] - u[a:], op.p) * rows
+        out[a:b] += T.sum(1)
+        out[b:] -= T[:, b - a:].sum(0)
+    return (out / _weights(op)).reshape(op.shape, order="F")

@@ -21,7 +21,7 @@ from fracspec import (
     EvolutionConfig,
     PoleError,
     apply_fraclap,
-    apply_plap_batched,
+    apply_plap,
     apply_plap_pointwise,
     build_axis_factors,
     build_diff_matrices,
@@ -118,7 +118,7 @@ def test_gate_04_pointwise_and_batched_routes_agree():
     for dims, scales, s, U in seeded_instances():
         op = build_fracplap(build_axis_factors(dims), scales, s, 2.0)
         a = apply_plap_pointwise(op, U)
-        b = apply_plap_batched(op, U)
+        b = apply_plap(op, U)
         worst = max(worst, float(np.max(np.abs(a - b))))
     gate(worst <= 1e-13, "route agreement", f"worst absolute gap {worst:.3e} over 20 instances (tol 1e-13)")
 

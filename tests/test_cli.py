@@ -241,18 +241,18 @@ def test_fracplap_cross_checks_modes_and_reference(tmp_path):
         assert "max_error" in report
         fields[report["mode"]] = np.loadtxt(out_dir / "fracplap_field.csv",
                                             delimiter=",", skiprows=1)
-    assert set(fields) == {"batch", "loop"}
-    assert np.max(np.abs(fields["batch"] - fields["loop"])) <= 1e-13
+    assert set(fields) == {"cached", "streamed"}
+    assert np.array_equal(fields["cached"], fields["streamed"])
 
 
-def test_fracplap_over_budget_falls_back_to_the_loop(tmp_path):
-    # the difference table is 8 * 10**2 = 800 bytes
+def test_fracplap_over_budget_streams_kernel_rows(tmp_path):
+    # the kernel is 8 * 10**2 = 800 bytes
     proc = run_cli(
         "fracplap", "--dims", "10", "--scales", "2.0", "--s", "0.45", "--p", "1.5",
         "--mem-budget", "700", "--out-dir", str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert read_json(tmp_path / "fracplap_report.json")["mode"] == "loop"
+    assert read_json(tmp_path / "fracplap_report.json")["mode"] == "streamed"
 
 
 def test_fracplap_pole_is_a_contract_violation(tmp_path):
@@ -326,6 +326,12 @@ def test_evolve_writes_snapshots_and_report(tmp_path):
     assert report["initial_mass"] == pytest.approx(math.sqrt(math.pi), rel=1e-3)
     manifest = read_json(tmp_path / "evolve_manifest.json")
     assert manifest["parameters"]["N"] == 24
+    streamed = tmp_path / "streamed"
+    proc = run_cli("evolve", "--config", str(cfg), "--mem-budget", "1",
+                   "--out-dir", str(streamed))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("snap_t0.01.csv", "snap_t0.03.csv"):
+        assert filecmp.cmp(tmp_path / name, streamed / name, shallow=False)
 
 
 def test_evolve_refuses_snapshot_times_sharing_a_file_name(tmp_path):

@@ -1,18 +1,19 @@
-"""Fractional p-Laplacian: odd powers, scaling constant, dual routes.
+"""Fractional p-Laplacian: odd powers, scaling constant, route agreement.
 
 Reference constants were computed once at 40 digits and frozen as literals.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracspec import (
     DEFAULT_MEM_BUDGET,
-    MemoryGuardError,
     PoleError,
     apply_fraclap,
     apply_plap,
-    apply_plap_batched,
     apply_plap_pointwise,
     build_axis_factors,
     build_fraclap,
@@ -182,7 +183,7 @@ def test_quadratic_case_reduces_to_linear_operator_2d():
     nonlin = build_fracplap(factors, scales, s, 2.0)
     U = np.random.default_rng(4).standard_normal(dims)
     want = apply_fraclap(lin, U)
-    got = apply_plap_batched(nonlin, U)
+    got = apply_plap(nonlin, U)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -197,24 +198,27 @@ def test_pointwise_and_batched_routes_agree(dims, scales, s, p):
     op = build_fracplap(factors, scales, s, p)
     U = np.random.default_rng(5).standard_normal(dims)
     a = apply_plap_pointwise(op, U)
-    b = apply_plap_batched(op, U)
+    b = apply_plap(op, U)
     assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
 
-def test_apply_plap_switches_route_at_the_exact_budget():
-    dims = (6, 7)
-    op = build_fracplap(build_axis_factors(dims), (2.0, 2.0), 0.6, 1.8)
-    U = np.random.default_rng(6).standard_normal(dims)
-    need = 8 * 42**2
-    assert np.array_equal(apply_plap(op, U, need), apply_plap_batched(op, U))
-    assert np.array_equal(apply_plap(op, U, need - 1), apply_plap_pointwise(op, U))
+def test_mem_budget_changes_memory_never_values():
+    for dims in ((100,), (9, 10), (4, 5, 6)):
+        op = build_fracplap(build_axis_factors(dims), (2.0,) * len(dims), 0.6, 1.8)
+        U = np.random.default_rng(6).standard_normal(dims)
+        need = 8 * math.prod(dims) ** 2
+        streamed = apply_plap(op, U, need - 1)
+        assert "kernel" not in vars(op)
+        cached = apply_plap(op, U, need)
+        assert "kernel" in vars(op)
+        assert np.array_equal(cached, streamed)
 
 
 def test_constant_field_maps_to_exact_zero():
     op = build_fracplap(build_axis_factors((12,)), (2.0,), 0.5, 1.7)
     out = apply_plap_pointwise(op, np.full(12, 4.2))
     assert np.array_equal(out, np.zeros(12))
-    assert np.array_equal(apply_plap_batched(op, np.full(12, 4.2)), np.zeros(12))
+    assert np.array_equal(apply_plap(op, np.full(12, 4.2)), np.zeros(12))
 
 
 def test_kernel_is_built_lazily_once_and_read_only():
@@ -223,8 +227,21 @@ def test_kernel_is_built_lazily_once_and_read_only():
     K = op.kernel
     assert op.kernel is K
     assert K.shape == (7, 7)
+    assert np.max(np.abs(K - K.T)) <= 1e-15 * np.max(np.abs(K))
     with pytest.raises(ValueError):
         K[0, 0] = 1.0
+
+
+def test_kernel_build_holds_one_kernel_at_n_2():
+    dims = (50, 51)
+    op = build_fracplap(build_axis_factors(dims), (3.0, 3.0), 0.8, 1.7)
+    tracemalloc.start()
+    try:
+        op.kernel
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * math.prod(dims) ** 2
 
 
 def test_scaling_contract_1d():
@@ -236,20 +253,9 @@ def test_scaling_contract_1d():
     op_unit = build_fracplap(factors, (1.0,), s, p)
     op_scaled = build_fracplap(factors, (L,), s, p)
     U = np.random.default_rng(8).standard_normal(N)
-    a = apply_plap_batched(op_scaled, U)
-    b = apply_plap_batched(op_unit, U) * L ** (-s * p)
+    a = apply_plap(op_scaled, U)
+    b = apply_plap(op_unit, U) * L ** (-s * p)
     assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
-
-
-def test_memory_guard_threshold_is_exact():
-    dims = (6,)
-    factors = build_axis_factors(dims)
-    op = build_fracplap(factors, (1.0,), 0.5, 1.5)
-    U = np.random.default_rng(9).standard_normal(dims)
-    # difference table is 8 * 36 = 288 bytes
-    apply_plap_batched(op, U, mem_budget=288)
-    with pytest.raises(MemoryGuardError, match="bytes"):
-        apply_plap_batched(op, U, mem_budget=287)
 
 
 def test_default_memory_budget_value():
@@ -263,7 +269,7 @@ def test_operator_value_positive_at_gaussian_peak_1d():
     u = gaussian_field(g)
     for p in (1.1, 1.4, 1.8, 2.2, 2.4):
         op = build_fracplap(build_axis_factors((101,)), (10.0,), 0.8, p)
-        w = apply_plap_batched(op, u)
+        w = apply_plap(op, u)
         assert w[50] > 0.0, f"p = {p}: center value {w[50]:.3e}"
 
 
@@ -272,7 +278,7 @@ def test_operator_value_positive_at_gaussian_peak_2d():
     u = gaussian_field(g)
     for p in (1.1, 2.4):
         op = build_fracplap(build_axis_factors((21, 21)), (6.0, 6.0), 0.8, p)
-        w = apply_plap_batched(op, u)
+        w = apply_plap(op, u)
         assert w[10, 10] > 0.0
 
 
@@ -281,4 +287,4 @@ def test_apply_validates_shape():
     with pytest.raises(ValueError):
         apply_plap_pointwise(op, np.zeros(9))
     with pytest.raises(ValueError):
-        apply_plap_batched(op, np.zeros((8, 1)))
+        apply_plap(op, np.zeros((8, 1)))
