@@ -23,6 +23,7 @@ from fracspec import (
     plap_constant,
     signed_power,
 )
+from fracspec.fracplap import kernel_fits
 
 
 # ----------------------------------------------------------------------------
@@ -214,6 +215,20 @@ def test_mem_budget_changes_memory_never_values():
         assert np.array_equal(cached, streamed)
 
 
+def test_apply_plap_switches_route_at_the_exact_budget():
+    dims = (6, 7)
+    op = build_fracplap(build_axis_factors(dims), (2.0, 2.0), 0.6, 1.8)
+    U = np.random.default_rng(6).standard_normal(dims)
+    need = 8 * 42**2
+    streamed = apply_plap(op, U, need - 1)
+    assert "kernel" not in vars(op)
+    cached = apply_plap(op, U, need)
+    assert "kernel" in vars(op)
+    assert np.array_equal(cached, streamed)
+    ref = apply_plap_pointwise(op, U)
+    assert np.max(np.abs(cached - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_constant_field_maps_to_exact_zero():
     op = build_fracplap(build_axis_factors((12,)), (2.0,), 0.5, 1.7)
     out = apply_plap_pointwise(op, np.full(12, 4.2))
@@ -256,6 +271,19 @@ def test_scaling_contract_1d():
     a = apply_plap(op_scaled, U)
     b = apply_plap(op_unit, U) * L ** (-s * p)
     assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+def test_memory_guard_threshold_is_exact():
+    dims = (6,)
+    op = build_fracplap(build_axis_factors(dims), (1.0,), 0.5, 1.5)
+    # the kernel is 8 * 36 = 288 bytes
+    assert kernel_fits(op, 288)
+    assert not kernel_fits(op, 287)
+    U = np.random.default_rng(9).standard_normal(dims)
+    apply_plap(op, U, mem_budget=287)
+    assert "kernel" not in vars(op)
+    apply_plap(op, U, mem_budget=288)
+    assert "kernel" in vars(op)
 
 
 def test_default_memory_budget_value():
