@@ -126,15 +126,16 @@ def _cmd_factor(args) -> int:
     factor = factorize(grid)
     Dxx = build_diff_matrices(grid).Dxx
     scale2 = args.scale * args.scale
-    recon = factor.P @ (factor.lam[:, None] * factor.Pinv)
+    P, Pinv = factor.P, factor.Pinv
+    recon = P @ (factor.lam[:, None] * Pinv)
     residual = float(np.max(np.abs(recon - Dxx)) / np.max(np.abs(Dxx)))
     report = {
         "N": factor.N,
         "min_lambda": float(np.min(factor.lam)) / scale2,
         "raw_zero_lambda": factor.raw_zero_lambda / scale2,
-        "condition_number": condition_number(factor.P),
+        "condition_number": condition_number(P),
         "reconstruction_residual": residual,
-        "inverse_residual": float(np.max(np.abs(factor.Pinv @ factor.P - np.eye(factor.N)))),
+        "inverse_residual": float(np.max(np.abs(Pinv @ P - np.eye(factor.N)))),
     }
     name = "factor_report.json"
     _write_json(args.out_dir / name, report)

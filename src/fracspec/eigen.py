@@ -1,15 +1,21 @@
-"""Eigen-factorization of the second-derivative matrix, real by construction.
+"""Eigen-factorization of the second-derivative matrix, real and parity-split by construction.
 
-With sigma = sin(xi) the similarity ``S = diag(1/sigma) Dxx diag(sigma)`` is
-symmetric up to rounding, because ``W Dxx`` is for the quadrature weights
-``W = diag(1/sigma^2)``; it is symmetrized explicitly.  Its kernel is known
-exactly, the unit vector ``z`` proportional to ``1/sigma``, because ``Dxx``
-maps constants to zero.  A Householder reflector that sends ``z`` onto the
-first coordinate axis deflates that mode, and
-one symmetric eigensolve of the remaining ``(N-1)x(N-1)`` block gives the
-strictly negative rest of the spectrum.  The kernel eigenvalue is then an
-exact 0 with the exact constant eigenvector, the eigenvector matrix is
-orthogonal up to the diagonal similarity, and its inverse needs no solve:
+The grid is mirror-symmetric, ``Dxx[N-1-i, N-1-j] == Dxx[i, j]``, so every
+eigenvector is even or odd under the reflection i -> N-1-i and ``Dxx``
+splits into an even block of size h = ceil(N/2) and an odd block of size
+m = floor(N/2), both acting on the top h (or m) grid rows (``parity_fold``).
+With sigma = sin(xi), even under the reflection, the similarity
+``diag(1/g) B diag(g)`` of each block B is symmetric up to rounding, because
+``W Dxx`` is for the quadrature weights ``W = diag(1/sigma^2)``; here g is
+sigma on the top rows, times sqrt(2) on a middle row that the even fold
+counts once.  Each similarity is symmetrized explicitly.  The kernel of the
+even one is known exactly, the unit vector ``z`` proportional to ``1/g``,
+because ``Dxx`` maps constants to zero.  A Householder reflector that sends
+``z`` onto the first coordinate axis deflates that mode, and one symmetric
+eigensolve of each of the remaining ``(h-1)x(h-1)`` and ``m x m`` blocks
+gives the strictly negative rest of the spectrum.  The kernel eigenvalue is
+then an exact 0 with the exact constant eigenvector, the eigenvectors are
+orthogonal up to the diagonal similarity, and the inverse needs no solve:
 the kernel row of ``Pinv`` is the normalized quadrature weights, so the
 eigenbasis coefficient of the kernel mode is the discrete mass.
 """
@@ -17,21 +23,32 @@ eigenbasis coefficient of the kernel mode is the discrete mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PositiveEigenvalue, SingularMatrix
 from .grid import Grid1D, build_diff_matrices
+from .tensor_ops import parity_fold, parity_unfold
 
 
 @dataclass(frozen=True)
 class SpectralFactor:
-    """Diagonalization ``Dxx = P @ diag(lam) @ Pinv`` with an exact kernel.
+    """Diagonalization ``Dxx = P @ diag(lam) @ Pinv`` with an exact kernel, stored by parity.
 
     ``lam`` is sorted ascending and real by construction: ``lam[zero_index]``
     is the exact 0 at the end and every other entry is strictly negative.
-    Column ``zero_index`` of ``P`` is the constant vector with entries
-    ``N**-0.5``, and row ``zero_index`` of ``Pinv`` is ``sqrt(N) * w / sum(w)``
+    Mode position k is even (``even[k]``) when column k of ``P`` and row k
+    of ``Pinv`` are mirror-even, else odd, and only the square half blocks
+    are stored: with h = ceil(N/2) and m = floor(N/2), ``P_even`` and
+    ``P_odd`` are the top h and m rows of the even and odd columns of ``P``,
+    ``Pinv_even`` and ``Pinv_odd`` the left h and m columns of the even and
+    odd rows of ``Pinv``.  ``P`` and ``Pinv`` rebuild the dense matrices,
+    whose bottom halves are exact mirror copies, ``P[N-1-i, k] == +-P[i, k]``.
+    ``grouped`` lists the mode positions even ones first, the order in which
+    contractions hold the modes, and ``rows`` gives rows of ``P`` in it.
+    The kernel column of ``P`` is the constant vector with entries
+    ``N**-0.5``, and the kernel row of ``Pinv`` is ``sqrt(N) * w / sum(w)``
     for the quadrature weights ``w = 1/sin(xi)**2``.  Columns of ``P`` have
     unit norm, and ``Pinv`` is their exact inverse up to rounding.
     ``raw_zero_lambda`` keeps the Rayleigh quotient of the exact kernel
@@ -39,15 +56,66 @@ class SpectralFactor:
     """
 
     N: int
-    P: np.ndarray
-    Pinv: np.ndarray
+    P_even: np.ndarray
+    P_odd: np.ndarray
+    Pinv_even: np.ndarray
+    Pinv_odd: np.ndarray
+    even: np.ndarray
     lam: np.ndarray
     zero_index: int
     raw_zero_lambda: float
 
+    @cached_property
+    def grouped(self) -> np.ndarray:
+        """Mode positions in parity-grouped order: the even ones, then the odd ones."""
+        grouped = np.concatenate([np.flatnonzero(self.even), np.flatnonzero(~self.even)])
+        grouped.flags.writeable = False
+        return grouped
+
+    @property
+    def P(self) -> np.ndarray:
+        """Dense read-only eigenvector matrix, rebuilt on each access."""
+        return self._dense(self.P_even, self.P_odd, 0)
+
+    @property
+    def Pinv(self) -> np.ndarray:
+        """Dense read-only inverse eigenvector matrix, rebuilt on each access."""
+        return self._dense(self.Pinv_even, self.Pinv_odd, 1)
+
+    def _dense(self, even: np.ndarray, odd: np.ndarray, grid_axis: int) -> np.ndarray:
+        h = len(even)
+        A = np.zeros((self.N, self.N))
+        A[:h, :h], A[h:, h:] = even, odd
+        mode_axis = 1 - grid_axis
+        A = np.take(parity_unfold(A, grid_axis), np.argsort(self.grouped), mode_axis)
+        A.flags.writeable = False
+        return A
+
+    def rows(self, i: np.ndarray | int) -> np.ndarray:
+        """Rows ``i`` of ``P`` with the modes in parity-grouped order, ``P[i][..., grouped]``."""
+        i = np.asarray(i)
+        top = np.minimum(i, self.N - 1 - i)
+        h, m = len(self.P_even), len(self.P_odd)
+        odd = np.vstack([self.P_odd, np.zeros((h - m, m))])[top]
+        return np.concatenate([self.P_even[top], np.where(i == top, 1.0, -1.0)[..., None] * odd], -1)
+
+
+def _symmetric_block(B: np.ndarray, g: np.ndarray) -> np.ndarray:
+    S = B * (g[None, :] / g[:, None])
+    return 0.5 * (S + S.T)
+
+
+def _checked_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lam, Q = np.linalg.eigh(S)
+    if np.any(lam >= 0.0):
+        raise PositiveEigenvalue(
+            f"eigenvalue {float(np.max(lam)):.6e} outside the kernel is not negative"
+        )
+    return lam, Q
+
 
 def factorize(grid: Grid1D) -> SpectralFactor:
-    """Diagonalize the grid's second-derivative matrix with its kernel deflated.
+    """Diagonalize the grid's second-derivative matrix by parity, kernel deflated.
 
     Raises
     ------
@@ -55,10 +123,17 @@ def factorize(grid: Grid1D) -> SpectralFactor:
         if an eigenvalue outside the kernel mode is not strictly negative.
     """
     n = grid.N
-    sigma = np.sin(grid.xi)
-    S = build_diff_matrices(grid).Dxx * (sigma[None, :] / sigma[:, None])
-    S = 0.5 * (S + S.T)
-    z = 1.0 / sigma
+    h, m = (n + 1) // 2, n // 2
+    Dxx = build_diff_matrices(grid).Dxx
+    folded = parity_fold(Dxx, 1)
+    E, O = folded[:h, :h], folded[:m, h:]
+    # mirror-extended rows i < m count twice in a norm, a middle row once
+    mult = np.full(h, 2.0)
+    mult[m:] = 1.0
+    sigma = np.sin(grid.xi[:h])
+    g = sigma * np.sqrt(2.0 / mult)
+    S = _symmetric_block(E, g)
+    z = 1.0 / g
     z /= np.linalg.norm(z)
     # H = I - 2 u u^T maps z to -e_0; H S H = S - u k^T - k u^T, in place
     u = z.copy()
@@ -68,28 +143,31 @@ def factorize(grid: Grid1D) -> SpectralFactor:
     k = 2.0 * (Su - (u @ Su) * u)
     S -= np.outer(u, k)
     S -= np.outer(k, u)
-    lam, Qp = np.linalg.eigh(S[1:, 1:])
-    if np.any(lam >= 0.0):
-        raise PositiveEigenvalue(
-            f"eigenvalue {float(np.max(lam)):.6e} outside the kernel is not negative"
-        )
-    # eigenvectors of S: H applied to [0; Qp], then the kernel vector z
-    Q = np.empty((n, n))
-    Q[1:, :-1] = Qp
-    Q[0, :-1] = 0.0
-    Q[:, :-1] -= 2.0 * np.outer(u, u[1:] @ Qp)
-    Q[:, -1] = z
-    P = sigma[:, None] * Q
-    norms = np.linalg.norm(P, axis=0)
-    P /= norms
-    P[:, -1] = n ** -0.5  # sigma * z normalized, without its rounding
-    # P = diag(sigma) Q / norms with orthogonal Q, so no solve is needed
-    Pinv = np.ascontiguousarray(Q.T / sigma * norms[:, None])
-    lam = np.append(lam, 0.0)
-    for a in (P, Pinv, lam):
+    lam_e, Qp = _checked_eigh(S[1:, 1:])
+    lam_o, Q_o = _checked_eigh(_symmetric_block(O, g[:m]))
+    # eigenvectors of the even block: H applied to [0; Qp], then the kernel vector z
+    Q_e = np.empty((h, h))
+    Q_e[1:, :-1] = Qp
+    Q_e[0, :-1] = 0.0
+    Q_e[:, :-1] -= 2.0 * np.outer(u, u[1:] @ Qp)
+    Q_e[:, -1] = z
+    blocks = []
+    for Q, gq, mq in ((Q_e, g, mult), (Q_o, g[:m], mult[:m])):
+        # top rows of unit columns P = g Q / norms; Pinv (g mq) P = I
+        P = gq[:, None] * Q
+        norms = np.sqrt(mq @ P**2)
+        P /= norms
+        blocks += [P, np.ascontiguousarray(Q.T / (gq * mq) * norms[:, None])]
+    P_even, Pinv_even, P_odd, Pinv_odd = blocks
+    P_even[:, -1] = n ** -0.5  # g * z normalized, without its rounding
+    order = np.argsort(np.concatenate([lam_e, lam_o]), kind="stable")
+    lam = np.append(np.concatenate([lam_e, lam_o])[order], 0.0)
+    even = np.append(order < h - 1, True)
+    for a in (P_even, P_odd, Pinv_even, Pinv_odd, even, lam):
         a.flags.writeable = False
     return SpectralFactor(
-        N=n, P=P, Pinv=Pinv, lam=lam, zero_index=n - 1, raw_zero_lambda=float(S[0, 0])
+        N=n, P_even=P_even, P_odd=P_odd, Pinv_even=Pinv_even, Pinv_odd=Pinv_odd,
+        even=even, lam=lam, zero_index=n - 1, raw_zero_lambda=float(S[0, 0]),
     )
 
 

@@ -31,9 +31,9 @@ import numpy as np
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
 from .errors import PoleError
-from .fraclap import _power_tensor, to_eigenbasis
+from .fraclap import _grouped, _power_tensor, _to_grouped
 from .grid import make_grid
-from .tensor_ops import mode_product
+from .tensor_ops import mode_product, parity_unfold
 
 # byte budget for the cached kernel
 DEFAULT_MEM_BUDGET = 2**31
@@ -63,8 +63,22 @@ class FracPOperator:
         return tuple(f.N for f in self.factors)
 
     @cached_property
+    def grouped_pow(self) -> np.ndarray:
+        """Read-only ``pow_tensor`` with every axis in parity-grouped mode order."""
+        T = _grouped(self.factors, self.pow_tensor)
+        T.flags.writeable = False
+        return T
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only ``quad_mass`` weights 1/sin(xi)**2, multiplied across axes, column-major flat."""
+        w = reduce(np.kron, [1 / np.sin(make_grid(f.N, 1.0).xi) ** 2 for f in self.factors[::-1]])
+        w.flags.writeable = False
+        return w
+
+    @cached_property
     def kernel(self) -> np.ndarray:
-        """Read-only W * c_const * P diag(pow_tensor) P^-1, W the ``_weights``,
+        """Read-only W * c_const * P diag(pow_tensor) P^-1, W the ``weights``,
         symmetric to rounding, over column-major flat indices: 8 * prod(N)**2
         bytes, filled from ``_kernel_rows`` block by block on first use, then kept.
         """
@@ -140,18 +154,19 @@ def build_fracplap(
 
 def _point_value(op: FracPOperator, U: np.ndarray, idx: tuple[int, ...]) -> float:
     W = signed_power(U[idx] - U, op.p)
-    G = op.pow_tensor * to_eigenbasis(op.factors, W)
+    G = _to_grouped(op.factors, W)
+    G *= op.grouped_pow
     for f, i in zip(op.factors, idx):
-        G = np.tensordot(f.P[i], G, axes=(0, 0))
+        G = np.tensordot(f.rows(i), G, axes=(0, 0))
     return op.c_const * float(G)
 
 
 def apply_plap_pointwise(op: FracPOperator, U: np.ndarray) -> np.ndarray:
-    """Evaluate the operator one grid point at a time.
+    """Evaluate the operator one grid point at a time, one difference field each.
 
-    Memory stays at a few copies of the field regardless of size; this is
-    the route for grids whose difference table exceeds the budget, and the
-    reference the batched route is tested against.
+    Memory stays at a few copies of the field regardless of size.  It shares
+    no kernel with ``apply_plap``, so it is the reference that route is
+    tested against (acceptance gates 3, 4 and 5).
     """
     U = checked_field(U, op.shape)
     out = np.empty(op.shape)
@@ -165,20 +180,22 @@ def kernel_fits(op: FracPOperator, mem_budget: int) -> bool:
     return 8 * math.prod(op.shape) ** 2 <= mem_budget
 
 
-def _weights(op: FracPOperator) -> np.ndarray:
-    """``quad_mass``'s weights 1/sin(xi)**2, multiplied across axes, column-major flat."""
-    return reduce(np.kron, [1 / np.sin(make_grid(f.N, 1.0).xi) ** 2 for f in op.factors[::-1]])
-
-
 def _kernel_rows(op: FracPOperator, a: int, b: int) -> np.ndarray:
     """Rows a:b of the symmetric kernel as a (b - a) x prod(N) array."""
     n = len(op.shape)
     idx = np.unravel_index(np.arange(a, b), op.shape, order="F")
-    G = (op.c_const * _weights(op)[a:b]).reshape(-1, *(1,) * n) * op.pow_tensor
-    for axis, (f, i) in enumerate(zip(op.factors, idx)):
-        G *= f.P[i].reshape([b - a] + [f.N if k == axis else 1 for k in range(n)])
-        G = mode_product(f.Pinv.T, G, axis + 1)
-    return G.reshape(b - a, -1, order="F")
+    # grid axes reversed after the row axis, so the rows come out column-major flat
+    G, work = np.empty((b - a,) + op.shape[::-1]), np.empty((b - a,) + op.shape[::-1])
+    np.multiply((op.c_const * op.weights[a:b]).reshape(-1, *(1,) * n), op.grouped_pow.T, out=G)
+    for k, (f, i) in enumerate(zip(op.factors, idx)):
+        axis = n - k
+        G *= f.rows(i).reshape([b - a] + [f.N if j == axis else 1 for j in range(1, n + 1)])
+        h = len(f.P_even)
+        for block, half in ((f.Pinv_even.T, slice(0, h)), (f.Pinv_odd.T, slice(h, None))):
+            index = (slice(None),) * axis + (half,)
+            mode_product(block, G[index], axis, out=work[index])
+        parity_unfold(work, axis, out=G)
+    return G.reshape(b - a, -1)
 
 
 def apply_plap(
@@ -204,4 +221,4 @@ def apply_plap(
         T = signed_power(u[a:b, None] - u[a:], op.p) * rows
         out[a:b] += T.sum(1)
         out[b:] -= T[:, b - a:].sum(0)
-    return (out / _weights(op)).reshape(op.shape, order="F")
+    return (out / op.weights).reshape(op.shape, order="F")

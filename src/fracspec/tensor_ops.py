@@ -35,12 +35,13 @@ def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-def mode_product(A: np.ndarray, U: np.ndarray, axis: int) -> np.ndarray:
+def mode_product(A: np.ndarray, U: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Contract matrix A against one tensor axis.
 
     result[..., m, ...] = sum_k A[m, k] * U[..., k, ...] along ``axis``
     (0-based).  A must be square of size U.shape[axis]; the shape of U is
-    preserved.
+    preserved.  The result is written to ``out`` when given, an array of
+    U's shape that is a slice of a C-ordered one, and returned.
     """
     A = np.asarray(A, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -50,8 +51,54 @@ def mode_product(A: np.ndarray, U: np.ndarray, axis: int) -> np.ndarray:
         raise ValueError(f"axis {axis} out of range for a {U.ndim}-d tensor")
     if A.shape[1] != U.shape[axis]:
         raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but axis {axis} has length {U.shape[axis]}")
-    out = np.tensordot(A, U, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+    # GEMMs on U's own C-ordered layout: one for the first or the last axis,
+    # one per leading index for an axis in between
+    last = axis == U.ndim - 1
+    shape = (-1, len(A)) if last else U.shape[:axis] + (len(A), -1)
+    out = np.empty(U.shape) if out is None else out
+    Y = out.reshape(shape)
+    if not np.may_share_memory(Y, out):
+        raise ValueError("out must be a slice of a C-ordered array")
+    if last:
+        np.matmul(U.reshape(shape), A.T, out=Y)
+    else:
+        np.matmul(A, U.reshape(shape), out=Y)
+    return out
+
+
+def parity_fold(U: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Fold one axis of length N into its mirror-even and mirror-odd halves, stacked.
+
+    With h = ceil(N/2), m = floor(N/2) and ``b = u[::-1][:m]`` the reversed
+    bottom rows, the result holds ``u[:m] + b`` and, when N is odd, the
+    middle row ``u[m]`` (counted once) in its first h rows and ``u[:m] - b``
+    in its last m.  It has U's shape and is written to ``out`` when given.
+    """
+    u = np.moveaxis(U, axis, 0)
+    h, m = (len(u) + 1) // 2, len(u) // 2
+    out = np.empty(U.shape) if out is None else out
+    f = np.moveaxis(out, axis, 0)
+    np.add(u[:m], u[::-1][:m], out=f[:m])
+    f[m:h] = u[m:h]
+    np.subtract(u[:m], u[::-1][:m], out=f[h:])
+    return out
+
+
+def parity_unfold(F: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Map stacked even and odd halves back to the full axis, the layout inverse of ``parity_fold``.
+
+    With h = ceil(N/2) and m = floor(N/2), row i < m of the result is
+    ``F[i] + F[h + i]``, row N-1-i is ``F[i] - F[h + i]``, and a middle row
+    is ``F[m]``.  It has F's shape and is written to ``out`` when given.
+    """
+    f = np.moveaxis(F, axis, 0)
+    h, m = (len(f) + 1) // 2, len(f) // 2
+    out = np.empty(F.shape) if out is None else out
+    u = np.moveaxis(out, axis, 0)
+    np.add(f[:m], f[h:], out=u[:m])
+    u[m:h] = f[m:h]
+    np.subtract(f[:m], f[h:], out=u[::-1][:m])
+    return out
 
 
 def eigen_sum_tensor(lambdas: Sequence[np.ndarray], scales: Sequence[float]) -> np.ndarray:

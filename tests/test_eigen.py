@@ -17,7 +17,7 @@ def second_derivative_matrix(N):
     return build_diff_matrices(make_grid(N, 1.0)).Dxx
 
 
-@pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("N", [2, 3, 8, 16, 32, 64, 128, 256])
 def test_factorization_contract_on_derivative_matrices(N):
     f = factorize(make_grid(N, 1.0))
     assert f.N == N
@@ -32,7 +32,7 @@ def test_factorization_contract_on_derivative_matrices(N):
     assert abs(f.raw_zero_lambda) <= 1e-6 * np.max(np.abs(f.lam))
 
 
-@pytest.mark.parametrize("N", [16, 64, 128])
+@pytest.mark.parametrize("N", [2, 3, 16, 64, 128])
 def test_factorization_reconstructs_the_matrix(N):
     Dxx = second_derivative_matrix(N)
     f = factorize(make_grid(N, 1.0))
@@ -41,11 +41,35 @@ def test_factorization_reconstructs_the_matrix(N):
     assert rel <= 1e-7, f"reconstruction residual {rel:.3e}"
 
 
-@pytest.mark.parametrize("N", [16, 64, 128])
+@pytest.mark.parametrize("N", [2, 3, 16, 64, 128])
 def test_inverse_really_inverts(N):
     f = factorize(make_grid(N, 1.0))
     resid = np.max(np.abs(f.P @ f.Pinv - np.eye(N)))
     assert resid <= 1e-9, f"P @ Pinv deviates from identity by {resid:.3e}"
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 16, 17, 64, 65])
+def test_eigenvectors_are_exactly_even_or_odd(N):
+    f = factorize(make_grid(N, 1.0))
+    h = (N + 1) // 2
+    assert f.P_even.shape == f.Pinv_even.shape == (h, h)
+    assert f.P_odd.shape == f.Pinv_odd.shape == (N - h, N - h)
+    assert np.count_nonzero(f.even) == h and f.even[f.zero_index]
+    sign = np.where(f.even, 1.0, -1.0)
+    P, Pinv = f.P, f.Pinv
+    # bitwise mirror copies: P[N-1-i, k] == +-P[i, k], Pinv[k, N-1-j] == +-Pinv[k, j]
+    assert np.array_equal(P[::-1], P * sign)
+    assert np.array_equal(Pinv[:, ::-1], Pinv * sign[:, None])
+    if N % 2:
+        assert np.all(P[h - 1, ~f.even] == 0.0) and np.all(Pinv[~f.even, h - 1] == 0.0)
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 9])
+def test_rows_are_the_grouped_rows_of_the_dense_matrix(N):
+    f = factorize(make_grid(N, 1.0))
+    i = np.arange(N)
+    assert np.array_equal(f.rows(i), f.P[:, f.grouped])
+    assert np.array_equal(f.rows(N - 1), f.P[N - 1, f.grouped])
 
 
 def test_factorization_is_deterministic():
@@ -59,7 +83,7 @@ def test_factorization_is_deterministic():
 
 def test_factor_arrays_are_read_only():
     f = factorize(make_grid(8, 1.0))
-    for arr in (f.P, f.Pinv, f.lam):
+    for arr in (f.P, f.Pinv, f.lam, f.P_even, f.P_odd, f.Pinv_even, f.Pinv_odd, f.even, f.grouped):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 

@@ -18,23 +18,38 @@ from fracspec import (
     gaussian_field,
     lorentzian_field,
     make_grid,
+    mode_product,
     radius_squared,
     to_eigenbasis,
 )
 
 
 def toy_factor(lam):
-    """Diagonal stand-in factor: P = Pinv = I, spectrum given directly."""
+    """Stand-in factor on the mirror pairs e_i +- e_(N-1-i), spectrum given directly.
+
+    The first ceil(N/2) mode positions are even.  P's half blocks are
+    identities, so Pinv's halve the paired rows; a middle row counts once.
+    """
     lam = np.asarray(lam, dtype=float)
     n = lam.size
+    h, m = (n + 1) // 2, n // 2
     return SpectralFactor(
         N=n,
-        P=np.eye(n),
-        Pinv=np.eye(n),
+        P_even=np.eye(h),
+        P_odd=np.eye(m),
+        Pinv_even=np.diag(np.where(np.arange(h) < m, 0.5, 1.0)),
+        Pinv_odd=0.5 * np.eye(m),
+        even=np.arange(n) < h,
         lam=lam,
         zero_index=int(np.argmin(np.abs(lam))),
         raw_zero_lambda=0.0,
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_toy_factor_is_a_factorization(n):
+    f = toy_factor(-np.arange(n, dtype=float)[::-1])
+    assert np.array_equal(f.Pinv @ f.P, np.eye(n))
 
 
 # ----------------------------------------------------------------------------
@@ -107,6 +122,18 @@ def test_eigenbasis_round_trip():
     U = np.random.default_rng(7).standard_normal(64)
     back = from_eigenbasis(factors, to_eigenbasis(factors, U))
     assert np.max(np.abs(back - U)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(5,), (8,), (6, 7), (7, 4), (3, 4, 5), (4, 5, 2)])
+def test_eigenbasis_transport_matches_dense_products(dims):
+    factors = build_axis_factors(dims)
+    U = np.random.default_rng(3).standard_normal(dims)
+    to_dense, from_dense = U, U
+    for axis, f in enumerate(factors):
+        to_dense = mode_product(f.Pinv, to_dense, axis)
+        from_dense = mode_product(f.P, from_dense, axis)
+    for got, want in ((to_eigenbasis(factors, U), to_dense), (from_eigenbasis(factors, U), from_dense)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_constant_field_lands_on_the_kernel_mode():

@@ -4,6 +4,7 @@ Reference constants were computed once at 40 digits and frozen as literals.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from fracspec import (
     DEFAULT_MEM_BUDGET,
     PoleError,
+    SpectralFactor,
     apply_fraclap,
     apply_plap,
     apply_plap_pointwise,
@@ -24,6 +26,7 @@ from fracspec import (
     signed_power,
 )
 from fracspec.fracplap import kernel_fits
+from fracspec.tensor_ops import mode_product
 
 
 # ----------------------------------------------------------------------------
@@ -134,10 +137,12 @@ def test_constant_validates_parameters():
 
 
 def test_build_power_tensor_uses_half_sp_order():
-    from fracspec import SpectralFactor
-
     lam = np.array([-4.0, 0.0])
-    f = SpectralFactor(N=2, P=np.eye(2), Pinv=np.eye(2), lam=lam, zero_index=1, raw_zero_lambda=0.0)
+    half, eye = np.full((1, 1), 0.5), np.eye(1)
+    f = SpectralFactor(
+        N=2, P_even=eye, P_odd=eye, Pinv_even=half, Pinv_odd=half, even=np.array([False, True]),
+        lam=lam, zero_index=1, raw_zero_lambda=0.0,
+    )
     op = build_fracplap([f], [1.0], 0.5, 2.0)
     # order s*p/2 = 0.5, so (-(-4))**0.5 = 2
     assert np.array_equal(op.pow_tensor, np.array([2.0, 0.0]))
@@ -257,6 +262,43 @@ def test_kernel_build_holds_one_kernel_at_n_2():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 8 * math.prod(dims) ** 2
+
+
+def test_contractions_run_at_half_size_without_dense_factors(monkeypatch):
+    sides = []
+
+    def counted(A, U, axis, out=None):
+        assert A.shape == (U.shape[axis], U.shape[axis])
+        sides.append(len(A))
+        return mode_product(A, U, axis, out=out)
+
+    def dense(self):
+        raise AssertionError("a dense factor matrix was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fracspec") and getattr(module, "mode_product", None) is mode_product:
+            monkeypatch.setattr(module, "mode_product", counted)
+    monkeypatch.setattr(SpectralFactor, "P", property(dense))
+    monkeypatch.setattr(SpectralFactor, "Pinv", property(dense))
+    apply_fraclap(build_fraclap(build_axis_factors((16, 17)), (2.0, 2.0), 0.4), np.ones((16, 17)))
+    assert sorted(set(sides)) == [8, 9]  # ceil(16/2), ceil(17/2) and floor(17/2)
+    sides.clear()
+    op = build_fracplap(build_axis_factors((9, 8)), (2.0, 2.0), 0.5, 1.7)
+    U = gaussian_field([make_grid(9, 2.0), make_grid(8, 2.0)])
+    apply_plap(op, U, mem_budget=1)  # kernel rows streamed
+    op.kernel
+    apply_plap_pointwise(op, U)
+    assert sorted(set(sides)) == [4, 5]  # ceil(9/2), floor(9/2) and 8/2
+
+
+def test_weights_are_cached_read_only_quadrature_weights():
+    op = build_fracplap(build_axis_factors((5, 4)), (2.0, 3.0), 0.5, 1.7)
+    w = op.weights
+    assert op.weights is w
+    want = np.kron(1 / np.sin(make_grid(4, 1.0).xi) ** 2, 1 / np.sin(make_grid(5, 1.0).xi) ** 2)
+    assert np.array_equal(w, want)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
 
 
 def test_scaling_contract_1d():

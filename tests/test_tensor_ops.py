@@ -11,6 +11,7 @@ from fracspec import (
     read_field_csv,
     write_field_csv,
 )
+from fracspec.tensor_ops import parity_fold, parity_unfold
 
 
 # ----------------------------------------------------------------------------
@@ -59,6 +60,38 @@ def test_mode_product_validates_input():
         mode_product(np.eye(3), U, 2)
     with pytest.raises(ValueError):
         mode_product(np.eye(3), U, 1)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_mode_product_writes_into_a_slice(axis):
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((4, 5, 6))
+    A = rng.standard_normal((U.shape[axis],) * 2)
+    buf = np.zeros(tuple(n + 3 * (k == axis) for k, n in enumerate(U.shape)))
+    out = buf[(slice(None),) * axis + (slice(0, U.shape[axis]),)]
+    assert mode_product(A, U, axis, out=out) is out
+    assert np.array_equal(out, mode_product(A, U, axis))
+
+
+def test_mode_product_refuses_an_out_it_cannot_write_in_place():
+    U = np.ones((4, 5, 6))
+    with pytest.raises(ValueError, match="C-ordered"):
+        mode_product(np.eye(4), U, 0, out=np.zeros((6, 5, 4)).transpose())
+
+
+@pytest.mark.parametrize("shape, axis", [((2,), 0), ((3,), 0), ((6, 7), 0), ((6, 7), 1), ((3, 5, 2), 1)])
+def test_parity_fold_stacks_even_and_odd_halves(shape, axis):
+    U = np.random.default_rng(5).standard_normal(shape)
+    N = shape[axis]
+    h, m = (N + 1) // 2, N // 2
+    u, f = np.moveaxis(U, axis, 0), np.moveaxis(parity_fold(U, axis), axis, 0)
+    assert np.array_equal(f[:m], u[:m] + u[::-1][:m])
+    assert np.array_equal(f[m:h], u[m:h])
+    assert np.array_equal(f[h:], u[:m] - u[::-1][:m])
+    # unfolding the halves doubles the mirrored rows and keeps a middle row
+    back = np.moveaxis(parity_unfold(parity_fold(U, axis), axis), axis, 0)
+    assert np.array_equal(back[m:h], u[m:h])
+    assert np.allclose(np.delete(back, range(m, h), 0), 2 * np.delete(u, range(m, h), 0), rtol=1e-15, atol=1e-15)
 
 
 # ----------------------------------------------------------------------------
