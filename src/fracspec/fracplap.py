@@ -80,12 +80,12 @@ class FracPOperator:
     def kernel(self) -> np.ndarray:
         """Read-only W * c_const * P diag(pow_tensor) P^-1, W the ``weights``,
         symmetric to rounding, over column-major flat indices: 8 * prod(N)**2
-        bytes, filled from ``_kernel_rows`` block by block on first use, then kept.
+        bytes, built in place by ``_kernel_rows`` block by block on first use, then kept.
         """
         m = math.prod(self.shape)
         A = np.empty((m, m))
         for a in range(0, m, _BLOCK_ROWS):
-            A[a:a + _BLOCK_ROWS] = _kernel_rows(self, a, min(a + _BLOCK_ROWS, m))
+            _kernel_rows(self, a, min(a + _BLOCK_ROWS, m), out=A[a:a + _BLOCK_ROWS])
         A.flags.writeable = False
         return A
 
@@ -180,12 +180,16 @@ def kernel_fits(op: FracPOperator, mem_budget: int) -> bool:
     return 8 * math.prod(op.shape) ** 2 <= mem_budget
 
 
-def _kernel_rows(op: FracPOperator, a: int, b: int) -> np.ndarray:
-    """Rows a:b of the symmetric kernel as a (b - a) x prod(N) array."""
+def _kernel_rows(op: FracPOperator, a: int, b: int, out: np.ndarray) -> np.ndarray:
+    """Rows a:b of the symmetric kernel, built in and returned as ``out``.
+
+    ``out`` is a C-contiguous (b - a) x prod(N) array, such as rows a:b of the kernel.
+    """
     n = len(op.shape)
     idx = np.unravel_index(np.arange(a, b), op.shape, order="F")
     # grid axes reversed after the row axis, so the rows come out column-major flat
-    G, work = np.empty((b - a,) + op.shape[::-1]), np.empty((b - a,) + op.shape[::-1])
+    G = out.reshape((b - a,) + op.shape[::-1])
+    work = np.empty_like(G)
     np.multiply((op.c_const * op.weights[a:b]).reshape(-1, *(1,) * n), op.grouped_pow.T, out=G)
     for k, (f, i) in enumerate(zip(op.factors, idx)):
         axis = n - k
@@ -195,7 +199,7 @@ def _kernel_rows(op: FracPOperator, a: int, b: int) -> np.ndarray:
             index = (slice(None),) * axis + (half,)
             mode_product(block, G[index], axis, out=work[index])
         parity_unfold(work, axis, out=G)
-    return G.reshape(b - a, -1)
+    return out
 
 
 def apply_plap(
@@ -217,7 +221,7 @@ def apply_plap(
     out = np.zeros(u.size)
     for a in range(0, u.size, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, u.size)
-        rows = op.kernel[a:b, a:] if cached else _kernel_rows(op, a, b)[:, a:]
+        rows = op.kernel[a:b, a:] if cached else _kernel_rows(op, a, b, np.empty((b - a, u.size)))[:, a:]
         T = signed_power(u[a:b, None] - u[a:], op.p) * rows
         out[a:b] += T.sum(1)
         out[b:] -= T[:, b - a:].sum(0)

@@ -22,6 +22,11 @@ truncated at its smallest term.  The Gauss function uses the Pfaff transform
 onto z/(z-1) in [0, 1); beyond -z = 50 that argument is too close to 1 and
 the standard two-term large-argument connection takes over, which requires
 a - b away from integers.
+
+Both closed-form references evaluate their hypergeometric once per mirror
+orbit: along every axis where the squared-radius tensor equals its own
+reflection exactly, only the leading ceil(N/2) slice is evaluated and the
+rest is gathered back, which leaves every value bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -252,7 +257,7 @@ def exact_fraclap_gaussian(s: float, n: int, r2: float | np.ndarray) -> float | 
     s, n = _checked_order(s, n)
     r2 = _checked_radius(r2)
     pref = 2.0 ** (2.0 * s) * math.gamma(s + 0.5 * n) / math.gamma(0.5 * n)
-    return pref * hyp1f1(s + 0.5 * n, 0.5 * n, -r2).value
+    return _per_mirror_orbit(lambda z: pref * hyp1f1(s + 0.5 * n, 0.5 * n, -z).value, r2)
 
 
 def exact_fraclap_algebraic(s: float, r: float, n: int, r2: float | np.ndarray) -> float | np.ndarray:
@@ -272,7 +277,25 @@ def exact_fraclap_algebraic(s: float, r: float, n: int, r2: float | np.ndarray) 
         * math.gamma(s + 0.5 * n)
         / (math.gamma(r) * math.gamma(0.5 * n))
     )
-    return pref * hyp2f1(s + r, s + 0.5 * n, 0.5 * n, -r2).value
+    return _per_mirror_orbit(lambda z: pref * hyp2f1(s + r, s + 0.5 * n, 0.5 * n, -z).value, r2)
+
+
+def _per_mirror_orbit(f, r2):
+    """Elementwise ``f(r2)``, f evaluated on the leading half of every axis r2 mirrors exactly.
+
+    The kept block holds every value of r2 and each of its elements meets the
+    same arithmetic as in the full array, so values and series lengths are unchanged.
+    """
+    if np.ndim(r2) == 0:
+        return f(r2)
+    half, index = r2, []
+    for axis, N in enumerate(r2.shape):
+        k = np.arange(N)
+        if np.array_equal(half, np.flip(half, axis)):
+            half = half[(slice(None),) * axis + (slice(0, (N + 1) // 2),)]
+            k = np.minimum(k, N - 1 - k)
+        index.append(k)
+    return f(half)[np.ix_(*index)]
 
 
 def _checked_order(s: float, n: int) -> tuple[float, int]:

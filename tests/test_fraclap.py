@@ -180,6 +180,18 @@ def test_apply_preserves_even_symmetry():
     assert np.max(np.abs(w - w[::-1])) <= 1e-12
 
 
+def test_gaussian_field_has_no_subnormals_and_exact_normal_values():
+    grids = [make_grid(64, 8.0), make_grid(65, 8.5)]
+    u = gaussian_field(grids)
+    ref = np.exp(-radius_squared(grids))
+    tiny = np.finfo(float).tiny
+    assert np.any((ref > 0) & (ref < tiny))  # the plane reaches the subnormal band
+    assert not np.any((u != 0) & (np.abs(u) < tiny))
+    normal = ref >= tiny
+    assert np.array_equal(u[normal], ref[normal])
+    assert np.all(u[~normal] == 0)
+
+
 def test_order_near_one_approaches_negated_second_derivative():
     N, L = 64, 6.0
     g = make_grid(N, L)

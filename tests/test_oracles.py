@@ -18,6 +18,9 @@ from fracspec import (
     gamma_fn,
     hyp1f1,
     hyp2f1,
+    make_grid,
+    oracles,
+    radius_squared,
     resolvent_integral_oracle,
     semigroup_integral_oracle,
 )
@@ -325,6 +328,61 @@ def test_algebraic_reference_validation():
         exact_fraclap_algebraic(0.5, -1.0, 2, 1.0)
     with pytest.raises(ValueError):
         exact_fraclap_algebraic(1.0, 1.0, 2, 1.0)
+
+
+REFERENCES = {
+    "gaussian": exact_fraclap_gaussian,
+    "algebraic": lambda s, n, r2: exact_fraclap_algebraic(s, 1.3, n, r2),
+}
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("dims", [(9,), (10,), (16, 17), (17, 16), (5, 6, 7), (6, 6, 5)])
+@pytest.mark.parametrize("s", [0.3, 0.6])
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_references_on_a_grid_equal_an_unfoldable_evaluation_bitwise(name, s, dims):
+    # the grid reaches past r2 = 50, so both series branches are covered
+    r2 = radius_squared([make_grid(N, 2.0 + 0.5 * ax) for ax, N in enumerate(dims)])
+    assert r2.max() > 50.0
+    perm = np.random.default_rng(7).permutation(r2.size)
+    shuffled = r2.ravel()[perm]
+    assert not np.array_equal(shuffled, shuffled[::-1])
+    want = np.empty(r2.size)
+    want[perm] = REFERENCES[name](s, len(dims), shuffled)
+    got = REFERENCES[name](s, len(dims), r2)
+    assert got.shape == r2.shape
+    assert np.array_equal(bits(got), bits(want.reshape(r2.shape)))
+
+
+@pytest.mark.parametrize("name, target", [("gaussian", "hyp1f1"), ("algebraic", "hyp2f1")])
+def test_references_evaluate_one_mirror_half_per_symmetric_axis(monkeypatch, name, target):
+    shapes = []
+    inner = getattr(oracles, target)
+
+    def spy(*args):
+        shapes.append(np.shape(args[-1]))
+        return inner(*args)
+
+    monkeypatch.setattr(oracles, target, spy)
+    r2 = radius_squared([make_grid(16, 3.0), make_grid(17, 3.1)])
+    REFERENCES[name](0.3, 2, r2)
+    assert shapes == [(8, 9)]
+    skewed = r2.copy()
+    skewed[0, 0] += 1.0  # breaks the mirror symmetry of both axes
+    REFERENCES[name](0.3, 2, skewed)
+    assert shapes == [(8, 9), (16, 17)]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_references_return_floats_for_scalar_and_0d_input(name):
+    want = REFERENCES[name](0.3, 2, 0.7)
+    assert type(want) is float
+    for r2 in (np.float64(0.7), np.array(0.7)):
+        got = REFERENCES[name](0.3, 2, r2)
+        assert type(got) is float and got == want
 
 
 # ----------------------------------------------------------------------------
