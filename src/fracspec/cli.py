@@ -157,7 +157,9 @@ def _cmd_fraclap(args) -> int:
     out = apply_fraclap(op, U)
     t_core = time.perf_counter() - t0
     csv_name = "fraclap_field.csv"
+    t0 = time.perf_counter()
     sidecar = write_field_csv(args.out_dir / csv_name, out)
+    t_write = time.perf_counter() - t0
     outputs = [csv_name, os.path.basename(sidecar)]
     report = {"wall_time_core": t_core}
     t_oracle = 0.0
@@ -178,7 +180,7 @@ def _cmd_fraclap(args) -> int:
         "compare_exact": bool(args.compare_exact),
     }
     _manifest(args.out_dir, "fraclap", params,
-              {"build": t_build, "core": t_core, "oracle": t_oracle}, outputs)
+              {"build": t_build, "core": t_core, "write": t_write, "oracle": t_oracle}, outputs)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -214,7 +216,9 @@ def _cmd_fracplap(args) -> int:
         exact = _exact_reference(kind, lor_r, args.s, len(dims), radius_squared(grids))
         report["max_error"] = float(np.max(np.abs(out - exact)))
     csv_name = "fracplap_field.csv"
+    t0 = time.perf_counter()
     sidecar = write_field_csv(args.out_dir / csv_name, out)
+    t_write = time.perf_counter() - t0
     name = "fracplap_report.json"
     _write_json(args.out_dir / name, report)
     params = {
@@ -226,7 +230,7 @@ def _cmd_fracplap(args) -> int:
         "mem_budget": args.mem_budget,
         "compare_exact": bool(args.compare_exact),
     }
-    _manifest(args.out_dir, "fracplap", params, {"build": t_build, "core": t_core},
+    _manifest(args.out_dir, "fracplap", params, {"build": t_build, "core": t_core, "write": t_write},
               [csv_name, os.path.basename(sidecar), name])
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

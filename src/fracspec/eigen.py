@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PositiveEigenvalue, SingularMatrix
-from .grid import Grid1D, build_diff_matrices
+from .grid import Grid1D, top_diff_rows
 from .tensor_ops import parity_fold, parity_unfold
 
 
@@ -124,8 +124,8 @@ def factorize(grid: Grid1D) -> SpectralFactor:
     """
     n = grid.N
     h, m = (n + 1) // 2, n // 2
-    Dxx = build_diff_matrices(grid).Dxx
-    folded = parity_fold(Dxx, 1)
+    # the top h rows of Dxx hold both blocks: E is their even fold, O their odd one
+    folded = parity_fold(top_diff_rows(grid)[1], 1)
     E, O = folded[:h, :h], folded[:m, h:]
     # mirror-extended rows i < m count twice in a norm, a middle row once
     mult = np.full(h, 2.0)

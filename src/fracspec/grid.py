@@ -143,6 +143,24 @@ def folded_rows(c: np.ndarray, N: int) -> np.ndarray:
     return c[2 * N + cols - rows] + c[2 * N - 1 - cols - rows]
 
 
+def top_diff_rows(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """The top ceil(N/2) rows of ``Dx`` and ``Dxx``, as ``build_diff_matrices`` states them."""
+    N = grid.N
+    half = (N + 1) // 2
+    xi_top = grid.xi[:half]
+    s2 = np.sin(xi_top) ** 2
+    s4 = s2 * s2
+    s2x = np.sin(2.0 * xi_top)
+    if N % 2 == 1:
+        # sin(2*xi) at the middle node is sin(pi); zero it so the middle row
+        # keeps the exact reflection symmetry instead of picking up the
+        # rounding of the float pi.
+        s2x[-1] = 0.0
+    dx_top = -s2[:, None] * folded_rows(angular_first_deriv_row(N), N)
+    dxx_top = s4[:, None] * folded_rows(angular_second_deriv_row(N), N) - s2x[:, None] * dx_top
+    return dx_top, dxx_top
+
+
 def build_diff_matrices(grid: Grid1D) -> DiffMatrices:
     """Assemble the unscaled N-by-N derivative matrices for a grid.
 
@@ -157,17 +175,7 @@ def build_diff_matrices(grid: Grid1D) -> DiffMatrices:
     """
     N = grid.N
     half = (N + 1) // 2
-    xi_top = grid.xi[:half]
-    s2 = np.sin(xi_top) ** 2
-    s4 = s2 * s2
-    s2x = np.sin(2.0 * xi_top)
-    if N % 2 == 1:
-        # sin(2*xi) at the middle node is sin(pi); zero it so the middle row
-        # keeps the exact reflection symmetry instead of picking up the
-        # rounding of the float pi.
-        s2x[-1] = 0.0
-    dx_top = -s2[:, None] * folded_rows(angular_first_deriv_row(N), N)
-    dxx_top = s4[:, None] * folded_rows(angular_second_deriv_row(N), N) - s2x[:, None] * dx_top
+    dx_top, dxx_top = top_diff_rows(grid)
     Dx = np.empty((N, N))
     Dxx = np.empty((N, N))
     Dx[:half] = dx_top

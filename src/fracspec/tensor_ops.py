@@ -3,18 +3,20 @@
 Fields on an n-dimensional grid are plain numpy arrays of shape
 (N_1, ..., N_n).  Where a flat ordering matters (the field CSV rows, the
 dense difference table) the convention is first index fastest, i.e.
-column-major: ``numpy.ravel(A, order='F')``.  ``write_csv`` holds the one CSV
-number format; ``write_field_csv`` and ``read_field_csv`` add the field
-layout (1-based index columns, a JSON shape sidecar) on top of it.
+column-major: ``numpy.ravel(A, order='F')``.  ``_VALUE`` is the one CSV
+number format, and ``_fill`` fills a chunk of row templates with one ``%``.
+``write_field_csv`` and ``read_field_csv`` add the field layout (1-based
+index columns, a JSON shape sidecar) on top of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import warnings
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +28,8 @@ _POSITIVE_TOL = 1e-12
 
 # rows formatted per write call; bounds the size of the joined string
 _CSV_CHUNK_ROWS = 65536
+# the one number format of every CSV float: 17 significant digits
+_VALUE = "%.17g"
 
 
 def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -149,39 +153,74 @@ def write_csv(path: str | os.PathLike, names: Sequence[str], columns: Sequence[n
     Integer columns print as integers and float columns with 17 significant
     digits, enough to read every double back bitwise; lines end in ``\\n``.
     """
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    row = ",".join("%d" if c.dtype.kind in "iu" else _VALUE for c in columns) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
         for a in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            chunk = [c[a:a + _CSV_CHUNK_ROWS].tolist() for c in columns]
-            fh.write("".join([row % r for r in zip(*chunk)]))
+            chunk = [c[a:a + _CSV_CHUNK_ROWS] for c in columns]
+            fh.write(_fill(row * len(chunk[0]), chunk))
 
 
 def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
     """Write a tensor as CSV rows ``i1,...,in,value``, flat position counting down.
 
     The rows run in descending column-major flat position: from the all-max
-    index tuple, first index fastest, to the all-ones tuple.  A JSON sidecar
-    ``<path stem>.json`` records the shape, so ``path`` must not end in
-    ``.json``.  Returns the sidecar path.
+    index tuple, first index fastest, to the all-ones tuple.  The index text
+    is formatted once per shape: a template holds one sweep of the leading
+    axes that fit in a chunk, with ``@`` for the trailing indices written in
+    per sweep; the bytes are those of ``"%d,...,%.17g\\n" % row``.  A JSON
+    sidecar ``<path stem>.json`` records the shape, so ``path`` must not end
+    in ``.json``.  Returns the sidecar path.
     """
     arr = np.asarray(arr, dtype=float)
     shape = _checked_shape(arr.shape)
     path = os.fspath(path)
     sidecar = _sidecar_path(path)
-    indices = np.indices(shape).reshape(len(shape), -1, order="F")[:, ::-1] + 1
-    names = [f"i{k + 1}" for k in range(len(shape))] + ["value"]
-    write_csv(path, names, [*indices, arr.ravel(order="F")[::-1]])
+    values = arr.ravel(order="F")[::-1]
+    # leading axes: the most whose sweep fits in one chunk
+    lead, rows = 0, 1
+    while lead < len(shape) and rows * shape[lead] <= _CSV_CHUNK_ROWS:
+        rows *= shape[lead]
+        lead += 1
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(f"i{k + 1}" for k in range(len(shape))) + ",value\n")
+        template = "".join(f"{t}@{_VALUE}\n" for t in _index_text(shape[:lead]))
+        trailing = _index_text(shape[lead:])
+        sweeps = _CSV_CHUNK_ROWS // rows
+        for a in range(0, values.size, sweeps * rows):
+            text = "".join([template.replace("@", t) for t in itertools.islice(trailing, sweeps)])
+            fh.write(_fill(text, [values[a:a + sweeps * rows]]))
     with open(sidecar, "w", newline="\n") as fh:
         json.dump({"shape": list(shape)}, fh)
         fh.write("\n")
     return sidecar
 
 
+def _index_text(shape: tuple[int, ...]) -> Iterator[str]:
+    """Yield ``"i1,...,in,"`` for every index tuple of ``shape``, flat position counting down."""
+    if not shape:
+        yield ""
+        return
+    # the first axis's text is made a chunk at a time, so no list grows with the field
+    for rest in _index_text(shape[1:]):
+        for top in range(shape[0], 0, -_CSV_CHUNK_ROWS):
+            yield from [f"{i},{rest}" for i in range(top, max(top - _CSV_CHUNK_ROWS, 0), -1)]
+
+
+def _fill(template: str, columns: Sequence[np.ndarray]) -> str:
+    """Fill the ``%`` fields of ``template`` with the columns' entries, row by row."""
+    lists = [c.tolist() for c in columns]
+    args = [None] * (len(lists) * len(lists[0]))
+    for j, entries in enumerate(lists):
+        args[j::len(lists)] = entries
+    return template % tuple(args)
+
+
 def read_field_csv(path: str | os.PathLike) -> np.ndarray:
     """Read a tensor written by ``write_field_csv``.
 
-    Every index tuple of the sidecar shape must appear exactly once.
+    Every index tuple of the sidecar shape must appear exactly once, in any
+    row order.
     """
     path = os.fspath(path)
     with open(_sidecar_path(path)) as fh:

@@ -138,6 +138,7 @@ def test_fraclap_against_exact_reference(tmp_path):
     assert sorted(manifest["outputs"]) == [
         "fraclap_field.csv", "fraclap_field.json", "fraclap_report.json",
     ]
+    assert manifest["timings"]["write"] >= 0.0
 
 
 def test_fraclap_accepts_csv_field(tmp_path):
@@ -239,6 +240,7 @@ def test_fracplap_cross_checks_modes_and_reference(tmp_path):
         assert proc.returncode == 0, proc.stderr
         report = read_json(out_dir / "fracplap_report.json")
         assert "max_error" in report
+        assert read_json(out_dir / "fracplap_manifest.json")["timings"]["write"] >= 0.0
         fields[report["mode"]] = np.loadtxt(out_dir / "fracplap_field.csv",
                                             delimiter=",", skiprows=1)
     assert set(fields) == {"cached", "streamed"}

@@ -11,7 +11,7 @@ from fracspec import (
     read_field_csv,
     write_field_csv,
 )
-from fracspec.tensor_ops import parity_fold, parity_unfold
+from fracspec.tensor_ops import parity_fold, parity_unfold, write_csv
 
 
 # ----------------------------------------------------------------------------
@@ -225,6 +225,68 @@ def test_field_csv_golden_bytes(tmp_path):
     assert path.read_bytes() == GOLDEN_FIELD_CSV.encode()
     back = read_field_csv(path)
     assert np.array_equal(back.view(np.int64), arr.view(np.int64))
+
+
+def per_row_csv(names, columns):
+    """The CSV text of formatting every row on its own with ``"%d,...,%.17g\\n" % row``."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    lines = [row % r for r in zip(*(c.tolist() for c in columns))]
+    return (",".join(names) + "\n" + "".join(lines)).encode()
+
+
+def per_row_field_csv(arr):
+    shape = arr.shape
+    indices = np.indices(shape).reshape(len(shape), -1, order="F")[:, ::-1] + 1
+    names = [f"i{k + 1}" for k in range(len(shape))] + ["value"]
+    return per_row_csv(names, [*indices, arr.ravel(order="F")[::-1]])
+
+
+# -0.0, the smallest subnormal, other subnormals, huge, infinite and nan values
+SPECIAL_VALUES = [-0.0, 5e-324, 2.2e-310, -1.5e-320, 1e300, np.inf, -np.inf, np.nan]
+
+
+# (70000,), (3, 30000), (1000, 70) and (30, 40, 60) each span more than one
+# chunk, with a template of one row, of three, of one leading axis and of two
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (7,), (1, 5), (5, 1), (2, 3, 4), (3, 1, 2), (70000,), (3, 30000), (1000, 70),
+     (30, 40, 60)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_field_csv_bytes_match_per_row_formatting(tmp_path, shape):
+    rng = np.random.default_rng(6)
+    arr = rng.standard_normal(shape) * np.exp(rng.uniform(-700.0, 700.0, shape))
+    flat = arr.reshape(-1)
+    flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:flat.size]
+    flat[-len(SPECIAL_VALUES):] = SPECIAL_VALUES[-flat.size:]
+    path = tmp_path / "f.csv"
+    write_field_csv(path, arr)
+    assert path.read_bytes() == per_row_field_csv(arr)
+
+
+def test_write_csv_bytes_match_per_row_formatting(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 70000
+    floats = rng.standard_normal(n) * np.exp(rng.uniform(-700.0, 700.0, n))
+    floats[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    columns = [np.arange(1, n + 1), floats, rng.integers(-10**12, 10**12, n), -floats]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["j", "a", "k", "b"], columns)
+    assert path.read_bytes() == per_row_csv(["j", "a", "k", "b"], columns)
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (4, 5, 6)])
+def test_field_csv_reads_rows_in_any_order(tmp_path, shape):
+    arr = np.random.default_rng(8).standard_normal(shape)
+    arr.reshape(-1)[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    path = tmp_path / "f.csv"
+    write_field_csv(path, arr)
+    header, *body = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(9).permutation(len(body))
+    assert not np.array_equal(order, np.arange(len(body)))
+    path.write_text(header + "".join(body[k] for k in order))
+    back = read_field_csv(path)
+    assert back.tobytes() == arr.tobytes()
 
 
 def test_field_csv_keeps_seventeen_digits(tmp_path):
