@@ -22,7 +22,7 @@ from . import __version__
 from .checks import checked_exponent, checked_field, checked_order
 from .errors import NumericalContractError
 from .eigen import condition_number, factorize
-from .evolution import config_grids, load_config, quad_mass, run_evolution
+from .evolution import config_grids, evolution_route, load_config, quad_mass, run_evolution
 from .fields import gaussian_field, lorentzian_field, radius_squared
 from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
 from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, build_fracplap, kernel_fits
@@ -95,7 +95,8 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _manifest(out_dir: Path, subcommand: str, params: dict, timings: dict, outputs: list[str]) -> None:
+def _manifest(out_dir: Path, subcommand: str, params: dict, timings: dict, outputs: list[str],
+              **extra) -> None:
     path = out_dir / f"{subcommand}_manifest.json"
     _write_json(
         path,
@@ -105,6 +106,7 @@ def _manifest(out_dir: Path, subcommand: str, params: dict, timings: dict, outpu
             "parameters": params,
             "timings": timings,
             "outputs": outputs,
+            **extra,
         },
     )
 
@@ -212,9 +214,13 @@ def _cmd_fracplap(args) -> int:
     out = apply_plap(op, U, args.mem_budget)
     t_core = time.perf_counter() - t0
     report = {"mode": mode, "wall_time": t_core}
+    t_oracle = 0.0
     if args.compare_exact:
+        t0 = time.perf_counter()
         exact = _exact_reference(kind, lor_r, args.s, len(dims), radius_squared(grids))
+        t_oracle = time.perf_counter() - t0
         report["max_error"] = float(np.max(np.abs(out - exact)))
+    report["wall_time_oracle"] = t_oracle
     csv_name = "fracplap_field.csv"
     t0 = time.perf_counter()
     sidecar = write_field_csv(args.out_dir / csv_name, out)
@@ -230,7 +236,8 @@ def _cmd_fracplap(args) -> int:
         "mem_budget": args.mem_budget,
         "compare_exact": bool(args.compare_exact),
     }
-    _manifest(args.out_dir, "fracplap", params, {"build": t_build, "core": t_core, "write": t_write},
+    _manifest(args.out_dir, "fracplap", params,
+              {"build": t_build, "core": t_core, "write": t_write, "oracle": t_oracle},
               [csv_name, os.path.basename(sidecar), name])
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -248,6 +255,7 @@ def _cmd_evolve(args) -> int:
     grids = config_grids(config)
     u0 = gaussian_field(grids)
     mass0 = quad_mass(u0, grids)
+    route = evolution_route(config, u0, args.mem_budget)[1]
     t0 = time.perf_counter()
     snapshots = run_evolution(config, u0, mem_budget=args.mem_budget)
     wall = time.perf_counter() - t0
@@ -269,6 +277,7 @@ def _cmd_evolve(args) -> int:
         "masses": masses,
         "drift": drift,
         "wall_time": wall,
+        "route": route,
     }
     name = "evolve_report.json"
     _write_json(args.out_dir / name, report)
@@ -280,7 +289,7 @@ def _cmd_evolve(args) -> int:
         "t_end": config.t_end, "snapshot_times": list(config.snapshot_times),
         "mem_budget": args.mem_budget,
     }
-    _manifest(args.out_dir, "evolve", params, {"integration": wall}, outputs)
+    _manifest(args.out_dir, "evolve", params, {"integration": wall}, outputs, route=route)
     print(json.dumps({"drift": drift, "masses": masses}, indent=2))
     return 0
 
@@ -343,7 +352,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve", parents=[common], help="integrate the evolution equation")
     p.add_argument("--config", required=True, help="flat key=value config file")
     p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET,
-                   help="byte budget for the cached kernel, as for fracplap")
+                   help="byte budget for the cached kernel, folded onto the orbit "
+                        "representatives of the initial field's symmetry group")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("validate", parents=[common],

@@ -9,6 +9,13 @@ uses the numerically preserved mass rather than the analytic one.  Snapshots
 are taken at the completed step nearest each requested time and carry a 1-D
 section along the first axis (all other indices at the middle node) plus its
 rescaled profile.
+
+The grid is mirror-exact and the operator commutes with every axis mirror,
+and with the axis swap when N and L are common, so the exact flow keeps
+every symmetry of u0.  A run therefore evolves one value per orbit of the
+largest group leaving u0 bitwise unchanged, with the folded kernel of
+``fracplap.apply_folded``, and unfolds to the full field only to record a
+snapshot.
 """
 
 from __future__ import annotations
@@ -24,7 +31,15 @@ import numpy as np
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .errors import DegenerateExponent, NonFiniteState
 from .fraclap import build_axis_factors
-from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, build_fracplap
+from .fracplap import (
+    DEFAULT_MEM_BUDGET,
+    Orbits,
+    apply_folded,
+    build_fracplap,
+    folded_kernel,
+    grid_orbits,
+    invariant_group,
+)
 from .grid import Grid1D, _checked_n, make_grid
 
 _DEGENERATE_TOL = 1e-14
@@ -174,6 +189,26 @@ def config_grids(config: EvolutionConfig) -> list[Grid1D]:
     return [g] * config.n
 
 
+def evolution_route(config: EvolutionConfig, u0: np.ndarray, mem_budget: int) -> tuple[Orbits, dict]:
+    """The orbits ``run_evolution`` evolves from u0, and a record of the choice.
+
+    The group is the largest one leaving u0 bitwise unchanged
+    (``invariant_group``).  The record names it and why, the number of
+    representatives, the bytes of the folded kernel against ``mem_budget``,
+    and whether the kernel is cached or its rows streamed in 64-row blocks.
+    """
+    group, reason = invariant_group(checked_field(u0, config.shape))
+    orbits = grid_orbits(config.shape, group)
+    return orbits, {
+        "group": group,
+        "group_reason": reason,
+        "representatives": len(orbits.reps),
+        "kernel_bytes": orbits.kernel_bytes,
+        "mem_budget": mem_budget,
+        "kernel_mode": "cached" if orbits.kernel_bytes <= mem_budget else "streamed",
+    }
+
+
 def run_evolution(
     config: EvolutionConfig,
     u0: np.ndarray,
@@ -181,10 +216,12 @@ def run_evolution(
 ) -> list[Snapshot]:
     """Integrate from u0 at t = 0, one Snapshot per requested time.
 
-    Every right-hand side is ``apply_plap`` under ``mem_budget``: a run
-    whose kernel fits builds it once and reuses it, and a larger one streams
-    kernel rows in every call, with the same values.  Raises NonFiniteState
-    as soon as any field entry stops being finite.
+    The state is the vector of orbit values of ``evolution_route``, and every
+    right-hand side is ``apply_folded`` on it: a run whose folded kernel fits
+    ``mem_budget`` builds it once and reuses it, and a larger one streams
+    kernel rows in every call, with the same values.  A u0 with no symmetry
+    takes the trivial group, whose kernel is the full one of ``apply_plap``.
+    Raises NonFiniteState as soon as any field entry stops being finite.
     """
     u0 = checked_field(u0, config.shape)
     grids = config_grids(config)
@@ -192,10 +229,12 @@ def run_evolution(
     op = build_fracplap(
         [factor] * config.n, [config.L] * config.n, config.s, config.p
     )
+    orbits, route = evolution_route(config, u0, mem_budget)
     params = self_similar_params(config.n, config.s, config.p)
+    kernel = folded_kernel(op, orbits) if route["kernel_mode"] == "cached" else None
 
-    def rhs(U: np.ndarray) -> np.ndarray:
-        return -apply_plap(op, U, mem_budget)
+    def rhs(u: np.ndarray) -> np.ndarray:
+        return -apply_folded(op, orbits, u, kernel)
 
     total_steps = max(1, round(config.t_end / config.dt))
     snap_steps = [
@@ -207,28 +246,29 @@ def run_evolution(
 
     snapshots: list[Snapshot] = []
 
-    def record(step: int, U: np.ndarray) -> None:
+    def record(step: int, u: np.ndarray) -> None:
         t = step * config.dt
+        U = orbits.unfold(u)
         mass = quad_mass(U, grids)
         section = np.array(U[section_idx], dtype=float)
         r, v = rescale_section(x, section, mass, t, params, config.p, config.s)
         snapshots.append(
-            Snapshot(t=t, U=U.copy(), mass=mass, section_r=r, section_v=v)
+            Snapshot(t=t, U=U, mass=mass, section_r=r, section_v=v)
         )
 
-    U = u0.copy()
+    u = orbits.fold(u0)
     for k in snap_steps:
         if k == 0:
-            record(0, U)
+            record(0, u)
     for step in range(1, total_steps + 1):
-        U = rk4_step(U, config.dt, rhs)
-        if not np.all(np.isfinite(U)):
+        u = rk4_step(u, config.dt, rhs)
+        if not np.all(np.isfinite(u)):
             raise NonFiniteState(
                 f"non-finite field entry after step {step} (t = {step * config.dt:g})"
             )
         for k in snap_steps:
             if k == step:
-                record(step, U)
+                record(step, u)
     return snapshots
 
 

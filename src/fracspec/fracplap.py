@@ -14,6 +14,18 @@ same arithmetic:
     8 * M**2 bytes fit the memory budget; otherwise each block rebuilds its
     rows and drops them.
 
+The block loop itself, ``apply_folded``, runs over the orbits of a symmetry
+group of the grid (``grid_orbits``).  On a field invariant under the group
+the output is invariant too, and it follows from one value per orbit: with
+the folded kernel B[O, O'] = sum_{i in O, j in O'} A_ij, which is symmetric,
+the output at orbit O is (1/(mu_O w_O)) sum_O' B[O, O'] phi(u_O - u_O'),
+mu_O the orbit size.  Summing a column with its mirror image cancels every
+odd mode, so under the axis mirrors B is built from the even half blocks
+of the factors on the top half of every axis, never from A; the axis swap
+of a square plane then adds the two columns of each swapped pair.  The
+trivial group, every point its own orbit, gives A itself: that is
+``apply_plap``.
+
 Route agreement is a standing test target, so neither shortcuts
 through the other or through the linear operator, even at p = 2 where the
 difference-field reduction collapses algebraically.
@@ -31,7 +43,7 @@ import numpy as np
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
 from .errors import PoleError
-from .fraclap import _grouped, _power_tensor, _to_grouped
+from .fraclap import _grouped, _half_products, _power_tensor, _to_grouped
 from .grid import make_grid
 from .tensor_ops import mode_product, parity_unfold
 
@@ -40,6 +52,8 @@ DEFAULT_MEM_BUDGET = 2**31
 # rows per block of the kernel and of each evaluation; fastest measured at M = 501
 _BLOCK_ROWS = 64
 _POLE_TOL = 1e-12
+# symmetry groups of the grid, each containing the one before
+GROUPS = ("none", "mirror", "mirror+swap")
 
 
 @dataclass(frozen=True)
@@ -79,15 +93,85 @@ class FracPOperator:
     @cached_property
     def kernel(self) -> np.ndarray:
         """Read-only W * c_const * P diag(pow_tensor) P^-1, W the ``weights``,
-        symmetric to rounding, over column-major flat indices: 8 * prod(N)**2
-        bytes, built in place by ``_kernel_rows`` block by block on first use, then kept.
+        symmetric to rounding, over column-major flat indices: the
+        ``folded_kernel`` of the trivial group, built on first use, then kept.
         """
-        m = math.prod(self.shape)
-        A = np.empty((m, m))
-        for a in range(0, m, _BLOCK_ROWS):
-            _kernel_rows(self, a, min(a + _BLOCK_ROWS, m), out=A[a:a + _BLOCK_ROWS])
-        A.flags.writeable = False
-        return A
+        return folded_kernel(self, grid_orbits(self.shape, "none"))
+
+
+@dataclass(frozen=True)
+class Orbits:
+    """The orbits of a symmetry group of the grid, one representative each.
+
+    ``reps`` holds the column-major flat grid index of each orbit's
+    representative, ascending, ``mult`` the orbit sizes as floats, and
+    ``index``, shaped like the grid, the position in ``reps`` of every grid
+    point's orbit.  Under the mirrors every representative lies in the top
+    ceil(N/2) rows of each axis, and under the swap its first index is at
+    most its second.
+    """
+
+    group: str
+    shape: tuple[int, ...]
+    reps: np.ndarray
+    mult: np.ndarray
+    index: np.ndarray
+
+    @property
+    def kernel_bytes(self) -> int:
+        """Bytes of the folded kernel, 8 * len(reps)**2."""
+        return 8 * len(self.reps) ** 2
+
+    def fold(self, U: np.ndarray) -> np.ndarray:
+        """The values of a grid field at the representatives."""
+        return checked_field(U, self.shape).reshape(-1, order="F")[self.reps]
+
+    def unfold(self, u: np.ndarray) -> np.ndarray:
+        """The C-ordered grid field taking each representative's value on its orbit."""
+        return u[self.index]
+
+
+def grid_orbits(shape: Sequence[int], group: str) -> Orbits:
+    """The orbits of ``group`` on a grid of ``shape``.
+
+    "none" leaves every point alone, "mirror" adds the reflection
+    i -> N-1-i of each axis, and "mirror+swap" also the swap of the two
+    axes of a square plane.
+    """
+    shape = tuple(int(N) for N in shape)
+    if group not in GROUPS:
+        raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
+    if group == "mirror+swap" and (len(shape) != 2 or shape[0] != shape[1]):
+        raise ValueError(f"the axis swap needs a square plane, got shape {shape}")
+    idx = np.indices(shape)
+    if group != "none":
+        idx = np.minimum(idx, np.reshape(shape, (-1,) + (1,) * len(shape)) - 1 - idx)
+    if group == "mirror+swap":
+        idx = np.stack([idx.min(0), idx.max(0)])
+    # a representative is the grid point its orbit's canonical index names
+    key = np.ravel_multi_index(tuple(idx), shape, order="F")
+    reps = np.flatnonzero(key.ravel(order="F") == np.arange(key.size))
+    position = np.empty(key.size, dtype=np.intp)
+    position[reps] = np.arange(len(reps))
+    index = position[key]
+    mult = np.bincount(index.ravel(), minlength=len(reps)).astype(float)
+    orbits = Orbits(group, shape, reps, mult, index)
+    for a in (orbits.reps, orbits.mult, orbits.index):
+        a.flags.writeable = False
+    return orbits
+
+
+def invariant_group(U: np.ndarray) -> tuple[str, str]:
+    """The largest of ``GROUPS`` that leaves U bitwise unchanged, and why."""
+    U = np.asarray(U, dtype=float)
+    for axis in range(U.ndim):
+        if not np.array_equal(U, np.flip(U, axis)):
+            return "none", f"the field is not mirror-symmetric along axis {axis}"
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        return "mirror", "the field is mirror-symmetric along every axis"
+    if not np.array_equal(U, U.T):
+        return "mirror", "the field is mirror-symmetric along both axes but not swap-symmetric"
+    return "mirror+swap", "the field is mirror-symmetric along both axes and swap-symmetric"
 
 
 def signed_power(t: np.ndarray | float, p: float) -> np.ndarray:
@@ -180,26 +264,93 @@ def kernel_fits(op: FracPOperator, mem_budget: int) -> bool:
     return 8 * math.prod(op.shape) ** 2 <= mem_budget
 
 
-def _kernel_rows(op: FracPOperator, a: int, b: int, out: np.ndarray) -> np.ndarray:
-    """Rows a:b of the symmetric kernel, built in and returned as ``out``.
+def _checked_orbits(op: FracPOperator, orbits: Orbits) -> Orbits:
+    # the grid is mirror-exact, so only the swap needs more: equal scales
+    if orbits.shape != op.shape or (orbits.group == "mirror+swap" and op.scales[0] != op.scales[1]):
+        raise ValueError(
+            f"{orbits.group} orbits on {orbits.shape} are not a symmetry of the "
+            f"operator on {op.shape} with scales {op.scales}"
+        )
+    return orbits
 
-    ``out`` is a C-contiguous (b - a) x prod(N) array, such as rows a:b of the kernel.
+
+def _kernel_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndarray) -> np.ndarray:
+    """Rows a:b of the folded kernel of ``orbits``, built in and returned as ``out``.
+
+    ``out`` is a C-contiguous (b - a) x len(orbits.reps) array, such as rows
+    a:b of the kernel.
     """
     n = len(op.shape)
-    idx = np.unravel_index(np.arange(a, b), op.shape, order="F")
+    reps = orbits.reps[a:b]
+    idx = np.unravel_index(reps, op.shape, order="F")
+    mirrored = orbits.group != "none"
+    # the mirror column sums keep the even modes on the top half of every axis
+    side = tuple((N + 1) // 2 for N in op.shape) if mirrored else op.shape
     # grid axes reversed after the row axis, so the rows come out column-major flat
-    G = out.reshape((b - a,) + op.shape[::-1])
+    dims = (b - a,) + side[::-1]
+    G = np.empty(dims) if orbits.group == "mirror+swap" else out.reshape(dims)
     work = np.empty_like(G)
-    np.multiply((op.c_const * op.weights[a:b]).reshape(-1, *(1,) * n), op.grouped_pow.T, out=G)
+    np.multiply((op.c_const * orbits.mult[a:b] * op.weights[reps]).reshape(-1, *(1,) * n),
+                op.grouped_pow[tuple(map(slice, side))].T, out=G)
     for k, (f, i) in enumerate(zip(op.factors, idx)):
         axis = n - k
-        G *= f.rows(i).reshape([b - a] + [f.N if j == axis else 1 for j in range(1, n + 1)])
-        h = len(f.P_even)
-        for block, half in ((f.Pinv_even.T, slice(0, h)), (f.Pinv_odd.T, slice(h, None))):
-            index = (slice(None),) * axis + (half,)
-            mode_product(block, G[index], axis, out=work[index])
-        parity_unfold(work, axis, out=G)
+        shape = [b - a] + [1] * n
+        shape[axis] = side[k]
+        if mirrored:
+            G *= f.P_even[i].reshape(shape)
+            G, work = mode_product(f.Pinv_even.T, G, axis, out=work), G
+            # a paired column stands for itself and its mirror image
+            G *= np.where(np.arange(side[k]) < f.N // 2, 2.0, 1.0).reshape(shape[1:])
+        else:
+            G *= f.rows(i).reshape(shape)
+            parity_unfold(_half_products(f.Pinv_even.T, f.Pinv_odd.T, G, axis, work), axis, out=G)
+    if orbits.group == "mirror+swap":
+        # the quadrant columns (i, j) and (j, i) of each representative
+        i, j = np.unravel_index(orbits.reps, op.shape, order="F")
+        h = side[0]
+        G = G.reshape(b - a, -1)
+        np.take(G, i + h * j, axis=1, out=out)
+        off = i != j
+        out[:, off] += G[:, (j + h * i)[off]]
+    elif not np.may_share_memory(G, out):
+        out.reshape(dims)[...] = G
     return out
+
+
+def folded_kernel(op: FracPOperator, orbits: Orbits) -> np.ndarray:
+    """Read-only B[O, O'] = sum_{i in O, j in O'} A_ij over the orbits, A = W K.
+
+    Symmetric to rounding, ``orbits.kernel_bytes`` bytes, built in place by
+    ``_kernel_rows`` block by block; the trivial group gives A itself.
+    """
+    r = len(_checked_orbits(op, orbits).reps)
+    B = np.empty((r, r))
+    for a in range(0, r, _BLOCK_ROWS):
+        _kernel_rows(op, orbits, a, min(a + _BLOCK_ROWS, r), out=B[a:a + _BLOCK_ROWS])
+    B.flags.writeable = False
+    return B
+
+
+def apply_folded(op: FracPOperator, orbits: Orbits, u: np.ndarray, kernel: np.ndarray | None) -> np.ndarray:
+    """The operator at the representatives of a field invariant under ``orbits.group``.
+
+    ``u = orbits.fold(U)`` holds the field's values at the representatives,
+    and the result is (1/(mu_O w_O)) sum_O' B[O, O'] signed_power(u_O - u_O').
+    Each block of ``_BLOCK_ROWS`` rows adds its row sums to its own orbits
+    and, as B is symmetric and the odd power antisymmetric, subtracts its
+    column sums from the orbits after it.  Rows come from ``kernel``, the
+    ``folded_kernel`` of ``orbits``, or when it is None from ``_kernel_rows``
+    per block; the blocks are the same, so the two give the same values.
+    """
+    u = checked_field(u, _checked_orbits(op, orbits).reps.shape)
+    out = np.zeros(u.size)
+    for a in range(0, u.size, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, u.size)
+        rows = kernel[a:b, a:] if kernel is not None else _kernel_rows(op, orbits, a, b, np.empty((b - a, u.size)))[:, a:]
+        T = signed_power(u[a:b, None] - u[a:], op.p) * rows
+        out[a:b] += T.sum(1)
+        out[b:] -= T[:, b - a:].sum(0)
+    return out / (orbits.mult * op.weights[orbits.reps])
 
 
 def apply_plap(
@@ -209,20 +360,11 @@ def apply_plap(
 ) -> np.ndarray:
     """Evaluate (1/w_i) sum_j A_ij signed_power(u_i - u_j), A = ``op.kernel``.
 
-    Each block of ``_BLOCK_ROWS`` rows adds its row sums to its own points
-    and, as A is symmetric and the odd power antisymmetric, subtracts its
-    column sums from the points after it.  Rows come from the cached kernel
-    when ``kernel_fits``, else from ``_kernel_rows`` per block; the blocks
-    are the same, so ``mem_budget`` changes memory, never values.
+    This is ``apply_folded`` on the trivial group.  The kernel is read from
+    the operator when ``kernel_fits``, else its rows are rebuilt per block;
+    the blocks are the same, so ``mem_budget`` changes memory, never values.
     """
     U = checked_field(U, op.shape)
-    u = U.reshape(-1, order="F")
-    cached = kernel_fits(op, mem_budget)
-    out = np.zeros(u.size)
-    for a in range(0, u.size, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, u.size)
-        rows = op.kernel[a:b, a:] if cached else _kernel_rows(op, a, b, np.empty((b - a, u.size)))[:, a:]
-        T = signed_power(u[a:b, None] - u[a:], op.p) * rows
-        out[a:b] += T.sum(1)
-        out[b:] -= T[:, b - a:].sum(0)
-    return (out / op.weights).reshape(op.shape, order="F")
+    kernel = op.kernel if kernel_fits(op, mem_budget) else None
+    u = apply_folded(op, grid_orbits(op.shape, "none"), U.reshape(-1, order="F"), kernel)
+    return u.reshape(op.shape, order="F")

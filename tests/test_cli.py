@@ -240,7 +240,10 @@ def test_fracplap_cross_checks_modes_and_reference(tmp_path):
         assert proc.returncode == 0, proc.stderr
         report = read_json(out_dir / "fracplap_report.json")
         assert "max_error" in report
-        assert read_json(out_dir / "fracplap_manifest.json")["timings"]["write"] >= 0.0
+        assert report["wall_time_oracle"] > 0.0
+        timings = read_json(out_dir / "fracplap_manifest.json")["timings"]
+        assert timings["write"] >= 0.0
+        assert timings["oracle"] == report["wall_time_oracle"]
         fields[report["mode"]] = np.loadtxt(out_dir / "fracplap_field.csv",
                                             delimiter=",", skiprows=1)
     assert set(fields) == {"cached", "streamed"}
@@ -328,12 +331,19 @@ def test_evolve_writes_snapshots_and_report(tmp_path):
     assert report["initial_mass"] == pytest.approx(math.sqrt(math.pi), rel=1e-3)
     manifest = read_json(tmp_path / "evolve_manifest.json")
     assert manifest["parameters"]["N"] == 24
+    # the Gaussian start is mirror-symmetric: 12 orbits of two points each
+    route = {"group": "mirror", "representatives": 12, "kernel_bytes": 8 * 12**2,
+             "mem_budget": 2**31, "kernel_mode": "cached"}
+    assert report["route"] == manifest["route"] == {**route, "group_reason": report["route"]["group_reason"]}
+    assert "mirror-symmetric" in report["route"]["group_reason"]
     streamed = tmp_path / "streamed"
     proc = run_cli("evolve", "--config", str(cfg), "--mem-budget", "1",
                    "--out-dir", str(streamed))
     assert proc.returncode == 0, proc.stderr
     for name in ("snap_t0.01.csv", "snap_t0.03.csv"):
         assert filecmp.cmp(tmp_path / name, streamed / name, shallow=False)
+    route.update(mem_budget=1, kernel_mode="streamed")
+    assert read_json(streamed / "evolve_manifest.json")["route"].items() >= route.items()
 
 
 def test_evolve_refuses_snapshot_times_sharing_a_file_name(tmp_path):

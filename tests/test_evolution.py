@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from fracspec import (
+    DEFAULT_MEM_BUDGET,
     DegenerateExponent,
+    FracPOperator,
     EvolutionConfig,
     NonFiniteState,
     apply_fraclap,
@@ -28,6 +30,8 @@ from fracspec import (
     section_overlap_distance,
     self_similar_params,
 )
+from fracspec.evolution import evolution_route
+from fracspec.fracplap import invariant_group
 from fracspec.tensor_ops import mode_product
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -351,6 +355,64 @@ def test_batched_run_uses_mode_products_only_to_build_the_kernel(monkeypatch, n)
         counts.append(len(calls))
     # the kernel build is the only user: zero mode products per RHS
     assert 0 < counts[0] == counts[1]
+
+
+def full_route_run(cfg, u0, steps):
+    """The fields of an RK4 run on the full grid with ``apply_plap``, after each step."""
+    op = build_fracplap(build_axis_factors([cfg.N]) * cfg.n, [cfg.L] * cfg.n, cfg.s, cfg.p)
+    U, out = u0.copy(), []
+    for _ in range(steps):
+        U = rk4_step(U, cfg.dt, lambda V: -apply_plap(op, V))
+        out.append(U)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_asymmetric_start_takes_the_trivial_group_and_the_full_route(n):
+    cfg = small_config(n=n, N=9, p=1.7, dt=0.01, t_end=0.03, snapshot_times=(0.01, 0.03))
+    grids = config_grids(cfg)
+    u0 = gaussian_field(grids) * (1.0 + 0.1 * np.random.default_rng(13).random(cfg.shape))
+    orbits, route = evolution_route(cfg, u0, DEFAULT_MEM_BUDGET)
+    assert route["group"] == "none"
+    assert route["representatives"] == len(orbits.reps) == 9**n
+    snaps = run_evolution(cfg, u0)
+    want = full_route_run(cfg, u0, 3)
+    for snap, U in zip(snaps, (want[0], want[2])):
+        assert np.array_equal(snap.U, U)
+        assert snap.mass == quad_mass(U, grids)
+
+
+@pytest.mark.parametrize("n,N,p,group", [
+    (1, 25, 1.6, "mirror"),
+    (1, 24, 2.2, "mirror"),
+    (2, 9, 1.7, "mirror+swap"),
+    (2, 10, 2.0, "mirror+swap"),
+])
+def test_symmetric_start_evolves_the_orbits(monkeypatch, n, N, p, group):
+    cfg = small_config(n=n, N=N, p=p, dt=0.01, t_end=0.03, snapshot_times=(0.01, 0.03))
+    u0 = gaussian_field(config_grids(cfg))
+    orbits, route = evolution_route(cfg, u0, DEFAULT_MEM_BUDGET)
+    assert route["group"] == group
+    assert route["kernel_bytes"] == 8 * len(orbits.reps) ** 2
+    assert route["kernel_mode"] == "cached"
+    assert evolution_route(cfg, u0, route["kernel_bytes"] - 1)[1]["kernel_mode"] == "streamed"
+
+    def full_kernel(self):
+        raise AssertionError("the full kernel was built")
+
+    monkeypatch.setattr(FracPOperator, "kernel", property(full_kernel))
+    cached = run_evolution(cfg, u0)
+    streamed = run_evolution(cfg, u0, mem_budget=1)
+    monkeypatch.undo()
+    want = full_route_run(cfg, u0, 3)
+    for a, b, U in zip(cached, streamed, (want[0], want[2])):
+        assert np.array_equal(a.U, b.U) and a.mass == b.mass
+        assert invariant_group(a.U)[0] == group
+        # at p < 2 the full route's rounding drifts out of symmetry, so the
+        # folded run may differ from it by as much as its images differ
+        images = [np.flip(U, axis) for axis in range(n)] + [U.T] * (n == 2)
+        drift = max(np.max(np.abs(U - V)) for V in images)
+        assert np.max(np.abs(a.U - U)) <= drift + 1e-13 * np.max(np.abs(U))
 
 
 def test_plane_section_cuts_through_the_middle():

@@ -25,7 +25,13 @@ from fracspec import (
     plap_constant,
     signed_power,
 )
-from fracspec.fracplap import kernel_fits
+from fracspec.fracplap import (
+    apply_folded,
+    folded_kernel,
+    grid_orbits,
+    invariant_group,
+    kernel_fits,
+)
 from fracspec.tensor_ops import mode_product
 
 
@@ -358,3 +364,111 @@ def test_apply_validates_shape():
         apply_plap_pointwise(op, np.zeros(9))
     with pytest.raises(ValueError):
         apply_plap(op, np.zeros((8, 1)))
+
+
+# ----------------------------------------------------------------------------
+# orbits and the folded kernel
+# ----------------------------------------------------------------------------
+
+
+def symmetrized(U, group):
+    """U summed over its images under the group, bitwise invariant as addition commutes."""
+    if group != "none":
+        for axis in range(U.ndim):
+            U = U + np.flip(U, axis)
+    if group == "mirror+swap":
+        U = U + U.T
+    return U
+
+
+@pytest.mark.parametrize("shape,group,count", [
+    ((7,), "none", 7),
+    ((7,), "mirror", 4),
+    ((8,), "mirror", 4),
+    ((5, 6), "mirror", 9),
+    ((7, 7), "mirror+swap", 10),
+    ((8, 8), "mirror+swap", 10),
+    ((3, 4, 5), "mirror", 12),
+])
+def test_orbits_partition_the_grid(shape, group, count):
+    orbits = grid_orbits(shape, group)
+    assert len(orbits.reps) == count
+    assert np.array_equal(np.bincount(orbits.index.ravel()), orbits.mult)
+    # each representative stands for its own orbit, at its own flat index
+    assert np.array_equal(orbits.index.reshape(-1, order="F")[orbits.reps], np.arange(count))
+    assert np.all(np.diff(orbits.reps) > 0)
+    U = symmetrized(np.random.default_rng(10).standard_normal(shape), group)
+    assert np.array_equal(orbits.unfold(orbits.fold(U)), U)
+
+
+def test_trivial_orbits_are_the_grid_points():
+    orbits = grid_orbits((4, 5), "none")
+    assert np.array_equal(orbits.reps, np.arange(20))
+    assert np.array_equal(orbits.mult, np.ones(20))
+    assert orbits.kernel_bytes == 8 * 20**2
+
+
+def test_swap_needs_a_square_plane_with_common_scales():
+    with pytest.raises(ValueError, match="square plane"):
+        grid_orbits((5, 6), "mirror+swap")
+    with pytest.raises(ValueError, match="square plane"):
+        grid_orbits((5,), "mirror+swap")
+    with pytest.raises(ValueError, match="group"):
+        grid_orbits((5,), "rotation")
+    op = build_fracplap(build_axis_factors((6, 6)), (2.0, 2.5), 0.5, 1.7)
+    with pytest.raises(ValueError, match="not a symmetry"):
+        folded_kernel(op, grid_orbits((6, 6), "mirror+swap"))
+    with pytest.raises(ValueError, match="not a symmetry"):
+        apply_folded(op, grid_orbits((6, 5), "mirror"), np.zeros(9), None)
+
+
+def test_invariant_group_is_the_largest_bitwise_symmetry():
+    g = make_grid(9, 2.0)
+    assert invariant_group(gaussian_field([g]))[0] == "mirror"
+    assert invariant_group(gaussian_field([g, g]))[0] == "mirror+swap"
+    assert invariant_group(gaussian_field([g, make_grid(9, 2.5)]))[0] == "mirror"
+    assert invariant_group(gaussian_field([g, make_grid(10, 2.0)]))[0] == "mirror"
+    assert invariant_group(gaussian_field([g] * 3))[0] == "mirror"
+    U = gaussian_field([g, g])
+    U[1, 0] = np.nextafter(U[1, 0], 1.0)
+    assert invariant_group(U) == ("none", "the field is not mirror-symmetric along axis 0")
+    U = gaussian_field([g, g])
+    U[1, 0], U[-2, 0], U[1, -1], U[-2, -1] = (np.nextafter(U[1, 0], 1.0),) * 4
+    assert invariant_group(U)[0] == "mirror"
+
+
+@pytest.mark.parametrize("p", [1.6, 2.0, 2.2])
+@pytest.mark.parametrize("dims,group", [
+    ((31,), "mirror"),
+    ((32,), "mirror"),
+    ((15, 15), "mirror"),
+    ((16, 16), "mirror"),
+    ((15, 15), "mirror+swap"),
+    ((16, 16), "mirror+swap"),
+    ((5, 6, 7), "mirror"),
+])
+def test_folded_operator_matches_the_full_one_on_invariant_fields(dims, group, p):
+    n = len(dims)
+    op = build_fracplap(build_axis_factors(dims), (3.0,) * n, 0.5, p)
+    U = symmetrized(np.random.default_rng(11).standard_normal(dims), group)
+    full = apply_plap(op, U)
+    orbits = grid_orbits(dims, group)
+    B = folded_kernel(op, orbits)
+    assert B.shape == (len(orbits.reps),) * 2
+    assert np.max(np.abs(B - B.T)) <= 1e-15 * np.max(np.abs(B))
+    u = apply_folded(op, orbits, orbits.fold(U), B)
+    assert np.max(np.abs(orbits.unfold(u) - full)) <= 1e-12 * np.max(np.abs(full))
+    # discrete mass: B symmetric and the odd power antisymmetric
+    mu_w = orbits.mult * op.weights[orbits.reps]
+    assert abs(np.sum(mu_w * u)) <= 1e-15 * np.sum(mu_w * np.abs(u))
+    assert np.array_equal(apply_folded(op, orbits, orbits.fold(U), None), u)
+
+
+def test_trivial_fold_is_the_full_kernel():
+    dims = (5, 6)
+    op = build_fracplap(build_axis_factors(dims), (2.0, 2.0), 0.6, 1.8)
+    orbits = grid_orbits(dims, "none")
+    assert np.array_equal(folded_kernel(op, orbits), op.kernel)
+    U = np.random.default_rng(12).standard_normal(dims)
+    u = apply_folded(op, orbits, orbits.fold(U), None)
+    assert np.array_equal(orbits.unfold(u), apply_plap(op, U))
