@@ -28,7 +28,7 @@ from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
 from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, build_fracplap, kernel_fits
 from .grid import build_diff_matrices, make_grid
 from .oracles import exact_fraclap_algebraic, exact_fraclap_gaussian, self_checks
-from .tensor_ops import read_field_csv, write_csv, write_field_csv
+from .tensor_ops import mirror_axes, read_field_csv, write_csv, write_field_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,7 +163,9 @@ def _cmd_fraclap(args) -> int:
     sidecar = write_field_csv(args.out_dir / csv_name, out)
     t_write = time.perf_counter() - t0
     outputs = [csv_name, os.path.basename(sidecar)]
-    report = {"wall_time_core": t_core}
+    # the axes along which apply_fraclap ran only the even blocks
+    folded = [axis for axis, mirrored in enumerate(mirror_axes(U)) if mirrored]
+    report = {"wall_time_core": t_core, "mirror_folded_axes": folded}
     t_oracle = 0.0
     if args.compare_exact:
         t0 = time.perf_counter()
@@ -182,7 +184,8 @@ def _cmd_fraclap(args) -> int:
         "compare_exact": bool(args.compare_exact),
     }
     _manifest(args.out_dir, "fraclap", params,
-              {"build": t_build, "core": t_core, "write": t_write, "oracle": t_oracle}, outputs)
+              {"build": t_build, "core": t_core, "write": t_write, "oracle": t_oracle}, outputs,
+              mirror_folded_axes=folded)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

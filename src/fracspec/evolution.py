@@ -13,7 +13,8 @@ rescaled profile.
 The grid is mirror-exact and the operator commutes with every axis mirror,
 and with the axis swap when N and L are common, so the exact flow keeps
 every symmetry of u0.  A run therefore evolves one value per orbit of the
-largest group leaving u0 bitwise unchanged, with the folded kernel of
+largest group leaving u0 unchanged under ``==`` (``invariant_group``; +0 and
+-0 count as equal), with the folded kernel of
 ``fracplap.apply_folded``, and unfolds to the full field only to record a
 snapshot.
 """
@@ -192,7 +193,7 @@ def config_grids(config: EvolutionConfig) -> list[Grid1D]:
 def evolution_route(config: EvolutionConfig, u0: np.ndarray, mem_budget: int) -> tuple[Orbits, dict]:
     """The orbits ``run_evolution`` evolves from u0, and a record of the choice.
 
-    The group is the largest one leaving u0 bitwise unchanged
+    The group is the largest one leaving u0 unchanged under ``==``
     (``invariant_group``).  The record names it and why, the number of
     representatives, the bytes of the folded kernel against ``mem_budget``,
     and whether the kernel is cached or its rows streamed in 64-row blocks.

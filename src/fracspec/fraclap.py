@@ -11,12 +11,19 @@ Each move folds one axis at a time into its mirror-even and mirror-odd
 halves (``parity_fold``) and runs two half-size mode products, one per
 parity block of the factor; in between, the modes of every axis are held in
 parity-grouped order, the even ones and then the odd ones.
+
+``apply_fraclap`` first finds the axes along which the field equals its own
+reflection (``mirror_axes``).  The odd half of such an axis is zero, so the
+field is cut to the top ceil(N/2) rows of each, the paired rows doubled, as
+the even half of ``parity_fold`` would hold them; that axis then runs one
+mode product with the even block each way, and the bottom rows of the
+output are copied from its top ones.  On a plane mirrored along both axes
+this is a quarter of the mode-product work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,33 +32,32 @@ from .checks import checked_field, checked_order
 from .eigen import SpectralFactor, factorize
 from .errors import NumericalContractError
 from .grid import make_grid
-from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mode_product, parity_fold, parity_unfold
+from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mirror_axes, mode_product, parity_fold, parity_unfold
 
 
 @dataclass(frozen=True)
 class FracLapOperator:
     """Immutable fractional Laplacian of order ``s`` on a fixed grid.
 
-    ``pow_tensor`` caches the entrywise ``s`` power of the negated
-    eigenvalue-sum tensor, scale division included, so repeated applies
-    cost only mode products.
+    ``grouped_pow`` caches the entrywise ``s`` power of the negated
+    eigenvalue-sum tensor, scale division included, with every axis in its
+    factor's parity-grouped mode order, so repeated applies cost only mode
+    products.
     """
 
     factors: tuple[SpectralFactor, ...]
     scales: tuple[float, ...]
     s: float
-    pow_tensor: np.ndarray
+    grouped_pow: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.N for f in self.factors)
 
-    @cached_property
-    def grouped_pow(self) -> np.ndarray:
-        """Read-only ``pow_tensor`` with every axis in parity-grouped mode order."""
-        T = _grouped(self.factors, self.pow_tensor)
-        T.flags.writeable = False
-        return T
+    @property
+    def pow_tensor(self) -> np.ndarray:
+        """Read-only ``grouped_pow`` in natural mode order, gathered on each access."""
+        return _natural(self.factors, self.grouped_pow)
 
 
 def build_axis_factors(dims: Sequence[int]) -> tuple[SpectralFactor, ...]:
@@ -68,12 +74,13 @@ def _power_tensor(
     scales: Sequence[float],
     order: float,
 ) -> np.ndarray:
-    """Read-only entrywise ``order`` power of the negated eigenvalue sums.
+    """Read-only entrywise ``order`` power of the negated eigenvalue sums, in grouped mode order.
 
     ``eigen_sum_tensor`` refuses an empty axis list, a factor/scale count
     mismatch and a nonpositive scale.
     """
-    pow_tensor = hadamard_pow_neg(eigen_sum_tensor([f.lam for f in factors], scales), order)
+    lambdas = [f.lam[f.grouped] for f in factors]
+    pow_tensor = hadamard_pow_neg(eigen_sum_tensor(lambdas, scales), order)
     pow_tensor.flags.writeable = False
     return pow_tensor
 
@@ -87,18 +94,25 @@ def build_fraclap(
     s = checked_order(s)
     factors = tuple(factors)
     scales = tuple(float(L) for L in scales)
-    pow_tensor = _power_tensor(factors, scales, s)
-    zeros = int(np.count_nonzero(pow_tensor == 0.0))
+    grouped_pow = _power_tensor(factors, scales, s)
+    zeros = int(np.count_nonzero(grouped_pow == 0.0))
     if zeros != 1:
         raise NumericalContractError(
             f"power tensor must vanish on exactly one mode, found {zeros}"
         )
-    return FracLapOperator(factors=factors, scales=scales, s=s, pow_tensor=pow_tensor)
+    return FracLapOperator(factors=factors, scales=scales, s=s, grouped_pow=grouped_pow)
 
 
 def _grouped(factors: Sequence[SpectralFactor], T: np.ndarray) -> np.ndarray:
     """Mode tensor ``T`` with every axis in its factor's parity-grouped order."""
     return T[np.ix_(*(f.grouped for f in factors))]
+
+
+def _natural(factors: Sequence[SpectralFactor], T: np.ndarray) -> np.ndarray:
+    """Read-only mode tensor ``T`` with every axis from parity-grouped back to natural order."""
+    T = T[np.ix_(*(np.argsort(f.grouped) for f in factors))]
+    T.flags.writeable = False
+    return T
 
 
 def _half_products(
@@ -112,22 +126,42 @@ def _half_products(
     return out
 
 
-def _to_grouped(factors: Sequence[SpectralFactor], U: np.ndarray) -> np.ndarray:
-    """``to_eigenbasis`` with every axis in parity-grouped mode order."""
-    folded, C = np.empty(U.shape), np.empty(U.shape)
-    for axis, f in enumerate(factors):
-        U = _half_products(f.Pinv_even, f.Pinv_odd, parity_fold(U, axis, out=folded), axis, C)
+def _other(buffers: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
+    """The one of two work buffers that is not ``X``."""
+    return buffers[1] if X is buffers[0] else buffers[0]
+
+
+def _to_grouped(factors: Sequence[SpectralFactor], U: np.ndarray, mirrored: Sequence[bool] = ()) -> np.ndarray:
+    """``to_eigenbasis`` with every axis in parity-grouped mode order.
+
+    On each axis flagged in ``mirrored``, U holds only the even half of
+    ``parity_fold`` and the result only the even modes, one product with
+    ``Pinv_even``; the other axes run both halves.
+    """
+    buffers = np.empty(U.shape), np.empty(U.shape)
+    for axis, (f, m) in enumerate(zip(factors, mirrored or [False] * len(factors))):
+        Y = _other(buffers, U)
+        if m:
+            U = mode_product(f.Pinv_even, U, axis, out=Y)
+        else:
+            U = _half_products(f.Pinv_even, f.Pinv_odd, parity_fold(U, axis, out=Y), axis, _other(buffers, Y))
     return U
 
 
-def _from_grouped(factors: Sequence[SpectralFactor], C: np.ndarray) -> np.ndarray:
+def _from_grouped(factors: Sequence[SpectralFactor], C: np.ndarray, mirrored: Sequence[bool] = ()) -> np.ndarray:
     """``from_eigenbasis`` of a tensor with every axis in parity-grouped mode order.
 
-    Overwrites and returns ``C``.
+    On each axis flagged in ``mirrored``, C holds only the even modes and the
+    result only the top ceil(N/2) rows, one product with ``P_even``.
+    Overwrites ``C``, and returns it when no axis is flagged.
     """
-    work = np.empty(C.shape)
-    for axis, f in enumerate(factors):
-        parity_unfold(_half_products(f.P_even, f.P_odd, C, axis, work), axis, out=C)
+    buffers = C, np.empty(C.shape)
+    for axis, (f, m) in enumerate(zip(factors, mirrored or [False] * len(factors))):
+        Y = _other(buffers, C)
+        if m:
+            C = mode_product(f.P_even, C, axis, out=Y)
+        else:
+            C = parity_unfold(_half_products(f.P_even, f.P_odd, C, axis, Y), axis, out=_other(buffers, Y))
     return C
 
 
@@ -145,7 +179,30 @@ def from_eigenbasis(factors: Sequence[SpectralFactor], U: np.ndarray) -> np.ndar
 
 
 def apply_fraclap(op: FracLapOperator, U: np.ndarray) -> np.ndarray:
-    """Evaluate the operator on a sample tensor of matching shape."""
-    tilde = _to_grouped(op.factors, checked_field(U, op.shape))
-    tilde *= op.grouped_pow
-    return _from_grouped(op.factors, tilde)
+    """Evaluate the operator on a sample tensor of matching shape.
+
+    Along every axis where U equals its reflection (``mirror_axes``) only
+    the even blocks run, on the top ceil(N/2) rows, and the output equals
+    its reflection there exactly: its bottom rows are copies.
+    """
+    U = checked_field(U, op.shape)
+    mirrored = mirror_axes(U)
+    axes = [axis for axis, m in enumerate(mirrored) if m]
+    top = tuple(slice((N + 1) // 2 if m else N) for N, m in zip(op.shape, mirrored))
+    if axes:  # the even half of parity_fold, equal to it under ==: paired rows doubled
+        U = U[top].copy()
+        for axis in axes:
+            U[(slice(None),) * axis + (slice(op.shape[axis] // 2),)] *= 2.0
+    tilde = _to_grouped(op.factors, U, mirrored)
+    tilde *= op.grouped_pow[top]
+    X = _from_grouped(op.factors, tilde, mirrored)
+    if not axes:
+        return X
+    out, index = np.empty(op.shape), list(top)
+    out[top] = X
+    for axis in axes:
+        N = op.shape[axis]
+        index[axis] = slice(None)
+        u = np.moveaxis(out[tuple(index)], axis, 0)
+        u[(N + 1) // 2:] = u[:N // 2][::-1]
+    return out

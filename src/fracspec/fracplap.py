@@ -43,9 +43,9 @@ import numpy as np
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
 from .errors import PoleError
-from .fraclap import _grouped, _half_products, _power_tensor, _to_grouped
+from .fraclap import _half_products, _natural, _power_tensor, _to_grouped
 from .grid import make_grid
-from .tensor_ops import mode_product, parity_unfold
+from .tensor_ops import mirror_axes, mode_product, parity_unfold
 
 # byte budget for the cached kernel
 DEFAULT_MEM_BUDGET = 2**31
@@ -60,28 +60,27 @@ GROUPS = ("none", "mirror", "mirror+swap")
 class FracPOperator:
     """Immutable fractional p-Laplacian of order s, exponent p.
 
-    ``pow_tensor`` caches the entrywise s*p/2 power of the negated
-    eigenvalue-sum tensor (scale division included); ``c_const`` is the
-    closed-form constant multiplying every pointwise evaluation.
+    ``grouped_pow`` caches the entrywise s*p/2 power of the negated
+    eigenvalue-sum tensor (scale division included) with every axis in
+    parity-grouped mode order; ``c_const`` is the closed-form constant
+    multiplying every pointwise evaluation.
     """
 
     factors: tuple[SpectralFactor, ...]
     scales: tuple[float, ...]
     s: float
     p: float
-    pow_tensor: np.ndarray
+    grouped_pow: np.ndarray
     c_const: float
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.N for f in self.factors)
 
-    @cached_property
-    def grouped_pow(self) -> np.ndarray:
-        """Read-only ``pow_tensor`` with every axis in parity-grouped mode order."""
-        T = _grouped(self.factors, self.pow_tensor)
-        T.flags.writeable = False
-        return T
+    @property
+    def pow_tensor(self) -> np.ndarray:
+        """Read-only ``grouped_pow`` in natural mode order, gathered on each access."""
+        return _natural(self.factors, self.grouped_pow)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -162,11 +161,14 @@ def grid_orbits(shape: Sequence[int], group: str) -> Orbits:
 
 
 def invariant_group(U: np.ndarray) -> tuple[str, str]:
-    """The largest of ``GROUPS`` that leaves U bitwise unchanged, and why."""
+    """The largest of ``GROUPS`` that leaves U unchanged under ``==``, and why.
+
+    As in ``mirror_axes``, +0 and -0 count as equal.
+    """
     U = np.asarray(U, dtype=float)
-    for axis in range(U.ndim):
-        if not np.array_equal(U, np.flip(U, axis)):
-            return "none", f"the field is not mirror-symmetric along axis {axis}"
+    mirrored = mirror_axes(U)
+    if not all(mirrored):
+        return "none", f"the field is not mirror-symmetric along axis {mirrored.index(False)}"
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         return "mirror", "the field is mirror-symmetric along every axis"
     if not np.array_equal(U, U.T):
@@ -225,13 +227,12 @@ def build_fracplap(
     p = checked_exponent(p)
     factors = tuple(factors)
     scales = tuple(float(L) for L in scales)
-    pow_tensor = _power_tensor(factors, scales, 0.5 * s * p)
     return FracPOperator(
         factors=factors,
         scales=scales,
         s=s,
         p=p,
-        pow_tensor=pow_tensor,
+        grouped_pow=_power_tensor(factors, scales, 0.5 * s * p),
         c_const=plap_constant(len(factors), s, p),
     )
 

@@ -25,8 +25,8 @@ a - b away from integers.
 
 Both closed-form references evaluate their hypergeometric once per mirror
 orbit: along every axis where the squared-radius tensor equals its own
-reflection exactly, only the leading ceil(N/2) slice is evaluated and the
-rest is gathered back, which leaves every value bitwise unchanged.
+reflection (``mirror_axes``), only the leading ceil(N/2) slice is evaluated
+and the rest is gathered back, which leaves every value unchanged.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 
 from .checks import checked_dimension, checked_order
 from .errors import NoConvergence, PoleError, QuadratureError
+from .tensor_ops import mirror_axes
 
 # convergence declared when the running term drops below this fraction of
 # the partial sum
@@ -281,7 +282,7 @@ def exact_fraclap_algebraic(s: float, r: float, n: int, r2: float | np.ndarray) 
 
 
 def _per_mirror_orbit(f, r2):
-    """Elementwise ``f(r2)``, f evaluated on the leading half of every axis r2 mirrors exactly.
+    """Elementwise ``f(r2)``, f evaluated on the leading half of every axis r2 mirrors.
 
     The kept block holds every value of r2 and each of its elements meets the
     same arithmetic as in the full array, so values and series lengths are unchanged.
@@ -289,9 +290,9 @@ def _per_mirror_orbit(f, r2):
     if np.ndim(r2) == 0:
         return f(r2)
     half, index = r2, []
-    for axis, N in enumerate(r2.shape):
+    for axis, (N, mirrored) in enumerate(zip(r2.shape, mirror_axes(r2))):
         k = np.arange(N)
-        if np.array_equal(half, np.flip(half, axis)):
+        if mirrored:
             half = half[(slice(None),) * axis + (slice(0, (N + 1) // 2),)]
             k = np.minimum(k, N - 1 - k)
         index.append(k)

@@ -70,6 +70,35 @@ def mode_product(A: np.ndarray, U: np.ndarray, axis: int, out: np.ndarray | None
     return out
 
 
+def mirror_axes(U: np.ndarray) -> tuple[bool, ...]:
+    """Per axis of U, whether U equals its reflection i -> N-1-i along it.
+
+    Equality is under ``==``: +0 and -0 count as equal and a NaN never
+    does, so a mirror-symmetric field need not be bitwise symmetric in the
+    sign of its zeros.  The slices are compared from the outside in, the
+    first against the last and then in doubling blocks, so a field without
+    the symmetry usually costs almost nothing.  After a mirrored axis only
+    its top half is compared along the later axes, as the bottom one copies it.
+    """
+    U = np.asarray(U)
+    mirrored = []
+    for axis in range(U.ndim):
+        mirrored.append(_equals_reflection(np.moveaxis(U, axis, 0)))
+        if mirrored[-1]:
+            U = U[(slice(None),) * axis + (slice((U.shape[axis] + 1) // 2),)]
+    return tuple(mirrored)
+
+
+def _equals_reflection(u: np.ndarray) -> bool:
+    m, a, size = len(u) // 2, 0, 1
+    while a < m:
+        b = min(a + size, m)
+        if not np.array_equal(u[a:b], u[::-1][a:b]):
+            return False
+        a, size = b, 2 * size
+    return True
+
+
 def parity_fold(U: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Fold one axis of length N into its mirror-even and mirror-odd halves, stacked.
 

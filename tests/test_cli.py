@@ -135,6 +135,8 @@ def test_fraclap_against_exact_reference(tmp_path):
     assert report["max_error"] <= 1e-3
     assert report["wall_time_core"] >= 0.0
     manifest = read_json(tmp_path / "fraclap_manifest.json")
+    # the Gaussian is mirror-symmetric along both axes
+    assert report["mirror_folded_axes"] == manifest["mirror_folded_axes"] == [0, 1]
     assert sorted(manifest["outputs"]) == [
         "fraclap_field.csv", "fraclap_field.json", "fraclap_report.json",
     ]
@@ -151,6 +153,17 @@ def test_fraclap_accepts_csv_field(tmp_path):
         "--field", f"csv:{tmp_path / 'in.csv'}", "--out-dir", str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
+    # a field shifted along the first axis keeps only the second axis's mirror
+    U = gaussian_field(grids)
+    U[0] += 1.0
+    write_field_csv(tmp_path / "in.csv", U)
+    proc = run_cli(
+        "fraclap", "--dims", "8,9", "--scales", "2.0,2.5", "--s", "0.5",
+        "--field", f"csv:{tmp_path / 'in.csv'}", "--out-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(tmp_path / "fraclap_report.json")["mirror_folded_axes"] == [1]
+    assert read_json(tmp_path / "fraclap_manifest.json")["mirror_folded_axes"] == [1]
 
 
 def test_fraclap_rejects_mismatched_csv_shape(tmp_path):

@@ -1,8 +1,12 @@
 """Fractional Laplacian operator: spectral powers, application, accuracy."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
+import fracspec.fraclap
 from fracspec import (
     NumericalContractError,
     PositiveEntry,
@@ -11,17 +15,22 @@ from fracspec import (
     build_axis_factors,
     build_diff_matrices,
     build_fraclap,
+    build_fracplap,
     differentiate,
+    eigen_sum_tensor,
     exact_fraclap_algebraic,
     exact_fraclap_gaussian,
     from_eigenbasis,
     gaussian_field,
+    hadamard_pow_neg,
     lorentzian_field,
     make_grid,
     mode_product,
     radius_squared,
     to_eigenbasis,
 )
+from fracspec.fraclap import _from_grouped, _to_grouped
+from fracspec.tensor_ops import mirror_axes
 
 
 def toy_factor(lam):
@@ -105,6 +114,19 @@ def test_power_tensor_is_read_only():
         op.pow_tensor[0] = 5.0
 
 
+@pytest.mark.parametrize("build, order", [
+    (lambda factors, scales: build_fraclap(factors, scales, 0.4), 0.4),
+    (lambda factors, scales: build_fracplap(factors, scales, 0.4, 1.7), 0.5 * 0.4 * 1.7),
+])
+def test_power_tensor_is_built_in_grouped_mode_order(build, order):
+    factors, scales = build_axis_factors((9, 12)), (2.0, 3.0)
+    op = build(factors, scales)
+    natural = hadamard_pow_neg(eigen_sum_tensor([f.lam for f in factors], scales), order)
+    assert np.array_equal(op.pow_tensor, natural)
+    assert np.array_equal(op.grouped_pow, natural[np.ix_(*(f.grouped for f in factors))])
+    assert not op.grouped_pow.flags.writeable
+
+
 def test_build_axis_factors_shapes():
     factors = build_axis_factors((9, 12))
     assert [f.N for f in factors] == [9, 12]
@@ -177,7 +199,77 @@ def test_apply_preserves_even_symmetry():
     op = build_fraclap(build_axis_factors((64,)), (5.0,), 0.7)
     g = [make_grid(64, 5.0)]
     w = apply_fraclap(op, gaussian_field(g))
-    assert np.max(np.abs(w - w[::-1])) <= 1e-12
+    assert np.array_equal(w, w[::-1])
+
+
+@functools.cache
+def _axis_factor(N):
+    # no grid has a single node, so N = 1 gets the one-mode toy factor
+    return toy_factor([0.0]) if N == 1 else build_axis_factors((N,))[0]
+
+
+@pytest.mark.parametrize("dims", [
+    (2,), (3,), (16,), (17,), (1, 17), (16, 1), (2, 3), (16, 17), (17, 16),
+    (1, 2, 3), (3, 16, 2), (17, 2, 3), (2, 1, 3, 2), (3, 2, 3, 2),
+])
+def test_folded_apply_matches_the_general_transport(dims):
+    # every pattern of mirrored axes, one axis alone included
+    op = build_fraclap([_axis_factor(N) for N in dims], [2.0 + 0.3 * k for k in range(len(dims))], 0.4)
+    rng = np.random.default_rng(len(dims))
+    for mask in itertools.product((False, True), repeat=len(dims)):
+        U = rng.standard_normal(dims)
+        for axis in np.flatnonzero(mask):
+            U = U + np.flip(U, axis)
+        got = apply_fraclap(op, U)
+        # the dense form of from_eigenbasis(pow_tensor * to_eigenbasis(U)), which
+        # also takes the N = 1 axis whose empty odd block the half products refuse
+        want = U
+        for axis, f in enumerate(op.factors):
+            want = mode_product(f.Pinv, want, axis)
+        want = want * op.pow_tensor
+        for axis, f in enumerate(op.factors):
+            want = mode_product(f.P, want, axis)
+        # relative to the field too: mirrored along an N = 2 axis, it is constant there
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), np.max(np.abs(U)))
+        for axis in np.flatnonzero(mask):
+            assert np.array_equal(got, np.flip(got, axis))
+
+
+@pytest.mark.parametrize("dims", [(16,), (16, 17), (3, 4, 5)])
+def test_apply_without_symmetry_runs_both_halves_on_every_axis(dims):
+    op = build_fraclap(build_axis_factors(dims), [2.0] * len(dims), 0.4)
+    U = np.random.default_rng(2).standard_normal(dims)
+    assert not any(mirror_axes(U))
+    tilde = _to_grouped(op.factors, U)
+    tilde *= op.grouped_pow
+    assert np.array_equal(apply_fraclap(op, U), _from_grouped(op.factors, tilde))
+
+
+def test_mirrored_plane_costs_a_quarter_of_the_mode_product_work(monkeypatch):
+    flops = []
+
+    def counted(A, U, axis, out=None):
+        flops.append(2 * len(A) * U.size)  # the count of bench/tracing.py
+        return mode_product(A, U, axis, out=out)
+
+    monkeypatch.setattr(fracspec.fraclap, "mode_product", counted)
+    dims, scales = (40, 41), (3.0, 3.1)
+    op = build_fraclap(build_axis_factors(dims), scales, 0.4)
+    U = gaussian_field([make_grid(N, L) for N, L in zip(dims, scales)])
+    V = U.copy()
+    V[3, 5] += 1e-3
+    costs = []
+    for F in (U, V):
+        flops.clear()
+        apply_fraclap(op, F)
+        costs.append(sum(flops))
+    # folded: one product per axis each way on the 20 x 21 quarter
+    quarter = 20 * 21
+    assert costs[0] == 2 * (2 * 20 * quarter + 2 * 21 * quarter)
+    # full: both half blocks per axis each way on the whole plane
+    M = 40 * 41
+    assert costs[1] == 2 * sum(2 * b * b * M // N for N in dims for b in ((N + 1) // 2, N // 2))
+    assert costs[0] / costs[1] == pytest.approx(0.25, abs=0.01)
 
 
 def test_gaussian_field_has_no_subnormals_and_exact_normal_values():

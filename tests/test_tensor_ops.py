@@ -1,5 +1,7 @@
 """Mode products, eigenvalue-sum tensors, CSV round trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from fracspec import (
     read_field_csv,
     write_field_csv,
 )
-from fracspec.tensor_ops import parity_fold, parity_unfold, write_csv
+from fracspec.tensor_ops import mirror_axes, parity_fold, parity_unfold, write_csv
 
 
 # ----------------------------------------------------------------------------
@@ -92,6 +94,29 @@ def test_parity_fold_stacks_even_and_odd_halves(shape, axis):
     back = np.moveaxis(parity_unfold(parity_fold(U, axis), axis), axis, 0)
     assert np.array_equal(back[m:h], u[m:h])
     assert np.allclose(np.delete(back, range(m, h), 0), 2 * np.delete(u, range(m, h), 0), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (1, 4), (2, 3, 4), (5, 2, 3), (3, 3, 3)])
+def test_mirror_axes_matches_the_full_reflection_test(shape):
+    # every mirror pattern, then every single-entry perturbation of it
+    rng = np.random.default_rng(9)
+    for mask in itertools.product((False, True), repeat=len(shape)):
+        U = rng.standard_normal(shape)
+        for axis, m in enumerate(mask):
+            if m:
+                U = U + np.flip(U, axis)
+        for i in range(-1, U.size):
+            V = U.copy()
+            if i >= 0:
+                V.flat[i] += 1.0
+            want = tuple(np.array_equal(V, np.flip(V, axis)) for axis in range(V.ndim))
+            assert mirror_axes(V) == want
+
+
+def test_mirror_axes_compares_under_equality():
+    assert mirror_axes(np.array([0.0, 1.0, -0.0])) == (True,)
+    assert mirror_axes(np.array([np.nan, 1.0, np.nan])) == (False,)
+    assert mirror_axes(np.ones((1, 3))) == (True, True)
 
 
 # ----------------------------------------------------------------------------
