@@ -59,7 +59,6 @@ from .fraclap import (
     to_eigenbasis,
 )
 from .fracplap import (
-    DEFAULT_MEM_BUDGET,
     FracPOperator,
     apply_plap,
     apply_plap_pointwise,
@@ -84,7 +83,6 @@ from .evolution import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MEM_BUDGET",
     "DegenerateExponent",
     "DiffMatrices",
     "EvolutionConfig",

@@ -33,6 +33,13 @@ def checked_dimension(n: int) -> int:
     return int(n)
 
 
+def checked_nodes(N: int) -> int:
+    """The node count N of one axis as an int, N >= 2; numpy integers are accepted."""
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    return int(N)
+
+
 def checked_field(U: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     """The sample tensor U as a float array, which must have ``shape``."""
     U = np.asarray(U, dtype=float)

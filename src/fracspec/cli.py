@@ -25,7 +25,7 @@ from .eigen import condition_number, factorize
 from .evolution import config_grids, evolution_route, load_config, quad_mass, run_evolution
 from .fields import gaussian_field, lorentzian_field, radius_squared
 from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
-from .fracplap import DEFAULT_MEM_BUDGET, apply_plap, build_fracplap, kernel_fits
+from .fracplap import apply_plap, build_fracplap
 from .grid import build_diff_matrices, make_grid
 from .oracles import exact_fraclap_algebraic, exact_fraclap_gaussian, self_checks
 from .tensor_ops import mirror_axes, read_field_csv, write_csv, write_field_csv
@@ -212,11 +212,10 @@ def _cmd_fracplap(args) -> int:
     op = build_fracplap(factors, scales, args.s, args.p)
     t_build = time.perf_counter() - t0
     _warn_sp_range(args.s, args.p)
-    mode = "cached" if kernel_fits(op, args.mem_budget) else "streamed"
     t0 = time.perf_counter()
-    out = apply_plap(op, U, args.mem_budget)
+    out = apply_plap(op, U)
     t_core = time.perf_counter() - t0
-    report = {"mode": mode, "wall_time": t_core}
+    report = {"wall_time": t_core}
     t_oracle = 0.0
     if args.compare_exact:
         t0 = time.perf_counter()
@@ -236,7 +235,6 @@ def _cmd_fracplap(args) -> int:
         "s": args.s,
         "p": args.p,
         "field": args.field,
-        "mem_budget": args.mem_budget,
         "compare_exact": bool(args.compare_exact),
     }
     _manifest(args.out_dir, "fracplap", params,
@@ -258,9 +256,9 @@ def _cmd_evolve(args) -> int:
     grids = config_grids(config)
     u0 = gaussian_field(grids)
     mass0 = quad_mass(u0, grids)
-    route = evolution_route(config, u0, args.mem_budget)[1]
+    route = evolution_route(config, u0)[1]
     t0 = time.perf_counter()
-    snapshots = run_evolution(config, u0, mem_budget=args.mem_budget)
+    snapshots = run_evolution(config, u0)
     wall = time.perf_counter() - t0
     x = grids[0].x
     mid = (config.N - 1) // 2
@@ -290,7 +288,6 @@ def _cmd_evolve(args) -> int:
         "n": config.n, "s": config.s, "p": config.p,
         "N": config.N, "L": config.L, "dt": config.dt,
         "t_end": config.t_end, "snapshot_times": list(config.snapshot_times),
-        "mem_budget": args.mem_budget,
     }
     _manifest(args.out_dir, "evolve", params, {"integration": wall}, outputs, route=route)
     print(json.dumps({"drift": drift, "masses": masses}, indent=2))
@@ -345,18 +342,12 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--field", default="gaussian")
-    p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET,
-                   help="byte budget for the cached 8*M**2-byte kernel; "
-                        "over it the kernel rows are streamed")
     p.add_argument("--compare-exact", action="store_true",
                    help="compare against the closed form (p = 2 only)")
     p.set_defaults(func=_cmd_fracplap)
 
     p = sub.add_parser("evolve", parents=[common], help="integrate the evolution equation")
     p.add_argument("--config", required=True, help="flat key=value config file")
-    p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET,
-                   help="byte budget for the cached kernel, folded onto the orbit "
-                        "representatives of the initial field's symmetry group")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("validate", parents=[common],

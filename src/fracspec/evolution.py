@@ -14,9 +14,9 @@ The grid is mirror-exact and the operator commutes with every axis mirror,
 and with the axis swap when N and L are common, so the exact flow keeps
 every symmetry of u0.  A run therefore evolves one value per orbit of the
 largest group leaving u0 unchanged under ``==`` (``invariant_group``; +0 and
--0 count as equal), with the folded kernel of
-``fracplap.apply_folded``, and unfolds to the full field only to record a
-snapshot.
+-0 count as equal), builds that group's folded kernel once before the first
+step, evaluates every right-hand side with ``fracplap.apply_folded`` on it,
+and unfolds to the full field only to record a snapshot.
 """
 
 from __future__ import annotations
@@ -29,19 +29,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import checked_dimension, checked_exponent, checked_field, checked_order
+from .checks import checked_dimension, checked_exponent, checked_field, checked_nodes, checked_order
 from .errors import DegenerateExponent, NonFiniteState
 from .fraclap import build_axis_factors
-from .fracplap import (
-    DEFAULT_MEM_BUDGET,
-    Orbits,
-    apply_folded,
-    build_fracplap,
-    folded_kernel,
-    grid_orbits,
-    invariant_group,
-)
-from .grid import Grid1D, _checked_n, make_grid
+from .fracplap import Orbits, apply_folded, build_fracplap, folded_kernel, grid_orbits, invariant_group
+from .grid import Grid1D, make_grid
 
 _DEGENERATE_TOL = 1e-14
 
@@ -63,7 +55,7 @@ class EvolutionConfig:
         object.__setattr__(self, "n", checked_dimension(self.n))
         object.__setattr__(self, "s", checked_order(self.s))
         object.__setattr__(self, "p", checked_exponent(self.p))
-        object.__setattr__(self, "N", _checked_n(self.N))
+        object.__setattr__(self, "N", checked_nodes(self.N))
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L!r}")
         if not self.dt > 0:
@@ -190,13 +182,12 @@ def config_grids(config: EvolutionConfig) -> list[Grid1D]:
     return [g] * config.n
 
 
-def evolution_route(config: EvolutionConfig, u0: np.ndarray, mem_budget: int) -> tuple[Orbits, dict]:
+def evolution_route(config: EvolutionConfig, u0: np.ndarray) -> tuple[Orbits, dict]:
     """The orbits ``run_evolution`` evolves from u0, and a record of the choice.
 
     The group is the largest one leaving u0 unchanged under ``==``
     (``invariant_group``).  The record names it and why, the number of
-    representatives, the bytes of the folded kernel against ``mem_budget``,
-    and whether the kernel is cached or its rows streamed in 64-row blocks.
+    representatives and the bytes of the folded kernel the run holds.
     """
     group, reason = invariant_group(checked_field(u0, config.shape))
     orbits = grid_orbits(config.shape, group)
@@ -205,24 +196,18 @@ def evolution_route(config: EvolutionConfig, u0: np.ndarray, mem_budget: int) ->
         "group_reason": reason,
         "representatives": len(orbits.reps),
         "kernel_bytes": orbits.kernel_bytes,
-        "mem_budget": mem_budget,
-        "kernel_mode": "cached" if orbits.kernel_bytes <= mem_budget else "streamed",
     }
 
 
-def run_evolution(
-    config: EvolutionConfig,
-    u0: np.ndarray,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
-) -> list[Snapshot]:
+def run_evolution(config: EvolutionConfig, u0: np.ndarray) -> list[Snapshot]:
     """Integrate from u0 at t = 0, one Snapshot per requested time.
 
     The state is the vector of orbit values of ``evolution_route``, and every
-    right-hand side is ``apply_folded`` on it: a run whose folded kernel fits
-    ``mem_budget`` builds it once and reuses it, and a larger one streams
-    kernel rows in every call, with the same values.  A u0 with no symmetry
-    takes the trivial group, whose kernel is the full one of ``apply_plap``.
-    Raises NonFiniteState as soon as any field entry stops being finite.
+    right-hand side is ``apply_folded`` on it with the folded kernel, built
+    once before the first step, so a kernel too large for memory fails there.
+    A u0 with no symmetry takes the trivial group, whose kernel is the full
+    one of ``apply_plap``, with the same values.  Raises NonFiniteState as
+    soon as any field entry stops being finite.
     """
     u0 = checked_field(u0, config.shape)
     grids = config_grids(config)
@@ -230,9 +215,9 @@ def run_evolution(
     op = build_fracplap(
         [factor] * config.n, [config.L] * config.n, config.s, config.p
     )
-    orbits, route = evolution_route(config, u0, mem_budget)
+    orbits = evolution_route(config, u0)[0]
     params = self_similar_params(config.n, config.s, config.p)
-    kernel = folded_kernel(op, orbits) if route["kernel_mode"] == "cached" else None
+    kernel = folded_kernel(op, orbits)
 
     def rhs(u: np.ndarray) -> np.ndarray:
         return -apply_folded(op, orbits, u, kernel)

@@ -10,9 +10,8 @@ same arithmetic:
     at a time through the eigenbasis; the reference for the other;
   * ``apply_plap``: the u-independent M x M kernel (M = prod(N_j)) times the
     quadrature weights, A = W K, which is symmetric, applied in row blocks
-    over the upper triangle.  The kernel is cached on the operator when its
-    8 * M**2 bytes fit the memory budget; otherwise each block rebuilds its
-    rows and drops them.
+    over the upper triangle.  Each block builds its rows and drops them, so
+    a call holds a few blocks, never the 8 * M**2-byte kernel.
 
 The block loop itself, ``apply_folded``, runs over the orbits of a symmetry
 group of the grid (``grid_orbits``).  On a field invariant under the group
@@ -47,8 +46,6 @@ from .fraclap import _half_products, _natural, _power_tensor, _to_grouped
 from .grid import make_grid
 from .tensor_ops import mirror_axes, mode_product, parity_unfold
 
-# byte budget for the cached kernel
-DEFAULT_MEM_BUDGET = 2**31
 # rows per block of the kernel and of each evaluation; fastest measured at M = 501
 _BLOCK_ROWS = 64
 _POLE_TOL = 1e-12
@@ -88,14 +85,6 @@ class FracPOperator:
         w = reduce(np.kron, [1 / np.sin(make_grid(f.N, 1.0).xi) ** 2 for f in self.factors[::-1]])
         w.flags.writeable = False
         return w
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """Read-only W * c_const * P diag(pow_tensor) P^-1, W the ``weights``,
-        symmetric to rounding, over column-major flat indices: the
-        ``folded_kernel`` of the trivial group, built on first use, then kept.
-        """
-        return folded_kernel(self, grid_orbits(self.shape, "none"))
 
 
 @dataclass(frozen=True)
@@ -260,11 +249,6 @@ def apply_plap_pointwise(op: FracPOperator, U: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_fits(op: FracPOperator, mem_budget: int) -> bool:
-    """Whether the 8 * prod(N)**2-byte kernel fits ``mem_budget``."""
-    return 8 * math.prod(op.shape) ** 2 <= mem_budget
-
-
 def _checked_orbits(op: FracPOperator, orbits: Orbits) -> Orbits:
     # the grid is mirror-exact, so only the swap needs more: equal scales
     if orbits.shape != op.shape or (orbits.group == "mirror+swap" and op.scales[0] != op.scales[1]):
@@ -354,18 +338,15 @@ def apply_folded(op: FracPOperator, orbits: Orbits, u: np.ndarray, kernel: np.nd
     return out / (orbits.mult * op.weights[orbits.reps])
 
 
-def apply_plap(
-    op: FracPOperator,
-    U: np.ndarray,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
-) -> np.ndarray:
-    """Evaluate (1/w_i) sum_j A_ij signed_power(u_i - u_j), A = ``op.kernel``.
+def apply_plap(op: FracPOperator, U: np.ndarray) -> np.ndarray:
+    """Evaluate (1/w_i) sum_j A_ij signed_power(u_i - u_j), A = W K.
 
-    This is ``apply_folded`` on the trivial group.  The kernel is read from
-    the operator when ``kernel_fits``, else its rows are rebuilt per block;
-    the blocks are the same, so ``mem_budget`` changes memory, never values.
+    This is ``apply_folded`` on the trivial group, whose ``folded_kernel``
+    is A, with every block's rows rebuilt and dropped.  One call builds each
+    row once either way, so only repeated calls on one operator would gain
+    from a held kernel; such a caller holds ``folded_kernel`` and calls
+    ``apply_folded`` itself, as ``run_evolution`` does.
     """
     U = checked_field(U, op.shape)
-    kernel = op.kernel if kernel_fits(op, mem_budget) else None
-    u = apply_folded(op, grid_orbits(op.shape, "none"), U.reshape(-1, order="F"), kernel)
+    u = apply_folded(op, grid_orbits(op.shape, "none"), U.reshape(-1, order="F"), None)
     return u.reshape(op.shape, order="F")

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import checked_nodes
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -63,7 +65,7 @@ def make_grid(N: int, L: float) -> Grid1D:
     -------
     Grid1D
     """
-    N = _checked_n(N)
+    N = checked_nodes(N)
     if not L > 0:
         raise ValueError(f"L must be positive, got {L!r}")
     L = float(L)
@@ -89,7 +91,7 @@ def angular_first_deriv_row(N: int) -> np.ndarray:
     All cotangent arguments lie in (0, pi/2); the rest of the vector is
     filled from the sign symmetry of the row.
     """
-    N = _checked_n(N)
+    N = checked_nodes(N)
     c = np.zeros(3 * N)
     k = np.arange(1, N)
     c[1:N] = 0.5 * np.where(k % 2 == 0, -1.0, 1.0) / np.tan(np.pi * k / (2.0 * N))
@@ -106,7 +108,7 @@ def angular_second_deriv_row(N: int) -> np.ndarray:
     equal -(2N^2 + 1)/6 and all inverse-square-sine arguments lie in
     (0, pi/2]; the mirror half is a symmetric copy.
     """
-    N = _checked_n(N)
+    N = checked_nodes(N)
     c = np.zeros(3 * N)
     diag = -(2.0 * N * N + 1.0) / 6.0
     c[0] = diag
@@ -117,12 +119,6 @@ def angular_second_deriv_row(N: int) -> np.ndarray:
     c[2 * N] = diag
     c[2 * N + 1 : 3 * N] = c[1:N]
     return c
-
-
-def _checked_n(N: int) -> int:
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
-    return int(N)
 
 
 def folded_rows(c: np.ndarray, N: int) -> np.ndarray:

@@ -56,12 +56,15 @@ def mode_product(A: np.ndarray, U: np.ndarray, axis: int, out: np.ndarray | None
     if A.shape[1] != U.shape[axis]:
         raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but axis {axis} has length {U.shape[axis]}")
     # GEMMs on U's own C-ordered layout: one for the first or the last axis,
-    # one per leading index for an axis in between
+    # one per leading index for an axis in between; the sizes are explicit,
+    # as a -1 is ambiguous beside a zero-length axis
     last = axis == U.ndim - 1
-    shape = (-1, len(A)) if last else U.shape[:axis] + (len(A), -1)
+    lead = U.shape[:axis]
+    shape = (math.prod(lead), len(A)) if last else lead + (len(A), math.prod(U.shape[axis + 1:]))
     out = np.empty(U.shape) if out is None else out
     Y = out.reshape(shape)
-    if not np.may_share_memory(Y, out):
+    # an empty view shares no memory, not even with itself
+    if out.size and not np.may_share_memory(Y, out):
         raise ValueError("out must be a slice of a C-ordered array")
     if last:
         np.matmul(U.reshape(shape), A.T, out=Y)

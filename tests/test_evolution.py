@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from fracspec import (
-    DEFAULT_MEM_BUDGET,
     DegenerateExponent,
-    FracPOperator,
     EvolutionConfig,
     NonFiniteState,
     apply_fraclap,
@@ -31,7 +29,7 @@ from fracspec import (
     self_similar_params,
 )
 from fracspec.evolution import evolution_route
-from fracspec.fracplap import invariant_group
+from fracspec.fracplap import apply_folded, folded_kernel, invariant_group
 from fracspec.tensor_ops import mode_product
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -130,8 +128,7 @@ def test_operators_conserve_discrete_mass(dims):
     plap = build_fracplap(factors, scales, 0.5, 1.7)
     for out in (
         apply_fraclap(build_fraclap(factors, scales, 0.5), U),
-        apply_plap(plap, U),  # cached kernel
-        apply_plap(plap, U, mem_budget=1),  # streamed kernel rows
+        apply_plap(plap, U),
     ):
         assert abs(quad_mass(out, grids)) / quad_mass(np.abs(out), grids) <= 1e-15
 
@@ -329,11 +326,15 @@ def test_shape_mismatch_rejected():
 
 
 def test_batched_and_pointwise_paths_agree():
-    cfg = small_config(N=24, t_end=0.03, dt=0.01, snapshot_times=(0.03,))
+    # the run holds its folded kernel; rows rebuilt per block give the same bits
+    cfg = small_config(N=24, p=1.8, t_end=0.03, dt=0.01, snapshot_times=(0.03,))
     u0 = gaussian_field(config_grids(cfg))
-    a = run_evolution(cfg, u0)  # kernel cached under the default budget
-    b = run_evolution(cfg, u0, mem_budget=1)  # kernel rows streamed per call
-    assert np.array_equal(a[0].U, b[0].U)
+    op = build_fracplap(build_axis_factors([cfg.N]), [cfg.L], cfg.s, cfg.p)
+    orbits = evolution_route(cfg, u0)[0]
+    u = orbits.fold(u0)
+    for _ in range(3):
+        u = rk4_step(u, cfg.dt, lambda v: -apply_folded(op, orbits, v, None))
+    assert np.array_equal(run_evolution(cfg, u0)[0].U, orbits.unfold(u))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -372,7 +373,7 @@ def test_asymmetric_start_takes_the_trivial_group_and_the_full_route(n):
     cfg = small_config(n=n, N=9, p=1.7, dt=0.01, t_end=0.03, snapshot_times=(0.01, 0.03))
     grids = config_grids(cfg)
     u0 = gaussian_field(grids) * (1.0 + 0.1 * np.random.default_rng(13).random(cfg.shape))
-    orbits, route = evolution_route(cfg, u0, DEFAULT_MEM_BUDGET)
+    orbits, route = evolution_route(cfg, u0)
     assert route["group"] == "none"
     assert route["representatives"] == len(orbits.reps) == 9**n
     snaps = run_evolution(cfg, u0)
@@ -391,22 +392,20 @@ def test_asymmetric_start_takes_the_trivial_group_and_the_full_route(n):
 def test_symmetric_start_evolves_the_orbits(monkeypatch, n, N, p, group):
     cfg = small_config(n=n, N=N, p=p, dt=0.01, t_end=0.03, snapshot_times=(0.01, 0.03))
     u0 = gaussian_field(config_grids(cfg))
-    orbits, route = evolution_route(cfg, u0, DEFAULT_MEM_BUDGET)
+    orbits, route = evolution_route(cfg, u0)
     assert route["group"] == group
     assert route["kernel_bytes"] == 8 * len(orbits.reps) ** 2
-    assert route["kernel_mode"] == "cached"
-    assert evolution_route(cfg, u0, route["kernel_bytes"] - 1)[1]["kernel_mode"] == "streamed"
+    built = []
 
-    def full_kernel(self):
-        raise AssertionError("the full kernel was built")
+    def recorded(op, orbits):
+        built.append(orbits.group)
+        return folded_kernel(op, orbits)
 
-    monkeypatch.setattr(FracPOperator, "kernel", property(full_kernel))
-    cached = run_evolution(cfg, u0)
-    streamed = run_evolution(cfg, u0, mem_budget=1)
-    monkeypatch.undo()
+    monkeypatch.setattr("fracspec.evolution.folded_kernel", recorded)
+    snaps = run_evolution(cfg, u0)
+    assert built == [group]  # one kernel, the folded one, never the full one
     want = full_route_run(cfg, u0, 3)
-    for a, b, U in zip(cached, streamed, (want[0], want[2])):
-        assert np.array_equal(a.U, b.U) and a.mass == b.mass
+    for a, U in zip(snaps, (want[0], want[2])):
         assert invariant_group(a.U)[0] == group
         # at p < 2 the full route's rounding drifts out of symmetry, so the
         # folded run may differ from it by as much as its images differ

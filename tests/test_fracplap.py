@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from fracspec import (
-    DEFAULT_MEM_BUDGET,
     PoleError,
     SpectralFactor,
     apply_fraclap,
@@ -30,7 +29,6 @@ from fracspec.fracplap import (
     folded_kernel,
     grid_orbits,
     invariant_group,
-    kernel_fits,
 )
 from fracspec.tensor_ops import mode_product
 
@@ -214,32 +212,6 @@ def test_pointwise_and_batched_routes_agree(dims, scales, s, p):
     assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
 
-def test_mem_budget_changes_memory_never_values():
-    for dims in ((100,), (9, 10), (4, 5, 6)):
-        op = build_fracplap(build_axis_factors(dims), (2.0,) * len(dims), 0.6, 1.8)
-        U = np.random.default_rng(6).standard_normal(dims)
-        need = 8 * math.prod(dims) ** 2
-        streamed = apply_plap(op, U, need - 1)
-        assert "kernel" not in vars(op)
-        cached = apply_plap(op, U, need)
-        assert "kernel" in vars(op)
-        assert np.array_equal(cached, streamed)
-
-
-def test_apply_plap_switches_route_at_the_exact_budget():
-    dims = (6, 7)
-    op = build_fracplap(build_axis_factors(dims), (2.0, 2.0), 0.6, 1.8)
-    U = np.random.default_rng(6).standard_normal(dims)
-    need = 8 * 42**2
-    streamed = apply_plap(op, U, need - 1)
-    assert "kernel" not in vars(op)
-    cached = apply_plap(op, U, need)
-    assert "kernel" in vars(op)
-    assert np.array_equal(cached, streamed)
-    ref = apply_plap_pointwise(op, U)
-    assert np.max(np.abs(cached - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
-
-
 def test_constant_field_maps_to_exact_zero():
     op = build_fracplap(build_axis_factors((12,)), (2.0,), 0.5, 1.7)
     out = apply_plap_pointwise(op, np.full(12, 4.2))
@@ -247,27 +219,37 @@ def test_constant_field_maps_to_exact_zero():
     assert np.array_equal(apply_plap(op, np.full(12, 4.2)), np.zeros(12))
 
 
-def test_kernel_is_built_lazily_once_and_read_only():
+def test_kernel_is_read_only_and_symmetric():
     op = build_fracplap(build_axis_factors((7,)), (2.0,), 0.5, 1.5)
-    assert "kernel" not in vars(op)
-    K = op.kernel
-    assert op.kernel is K
+    K = folded_kernel(op, grid_orbits((7,), "none"))
     assert K.shape == (7, 7)
     assert np.max(np.abs(K - K.T)) <= 1e-15 * np.max(np.abs(K))
     with pytest.raises(ValueError):
         K[0, 0] = 1.0
 
 
+def traced_peak(f, *args):
+    """The tracemalloc peak, in bytes, of one call ``f(*args)``."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_kernel_build_holds_one_kernel_at_n_2():
     dims = (50, 51)
     op = build_fracplap(build_axis_factors(dims), (3.0, 3.0), 0.8, 1.7)
-    tracemalloc.start()
-    try:
-        op.kernel
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * 8 * math.prod(dims) ** 2
+    assert traced_peak(folded_kernel, op, grid_orbits(dims, "none")) <= 1.1 * 8 * math.prod(dims) ** 2
+
+
+def test_apply_plap_never_holds_the_kernel():
+    # every block's rows are built and dropped: a few blocks, not 8 * M**2 bytes
+    dims = (50, 51)
+    op = build_fracplap(build_axis_factors(dims), (3.0, 3.0), 0.8, 1.7)
+    U = np.random.default_rng(6).standard_normal(dims)
+    assert traced_peak(apply_plap, op, U) <= 8 * math.prod(dims) ** 2 / 5
 
 
 def test_contractions_run_at_half_size_without_dense_factors(monkeypatch):
@@ -291,8 +273,8 @@ def test_contractions_run_at_half_size_without_dense_factors(monkeypatch):
     sides.clear()
     op = build_fracplap(build_axis_factors((9, 8)), (2.0, 2.0), 0.5, 1.7)
     U = gaussian_field([make_grid(9, 2.0), make_grid(8, 2.0)])
-    apply_plap(op, U, mem_budget=1)  # kernel rows streamed
-    op.kernel
+    apply_plap(op, U)
+    folded_kernel(op, grid_orbits((9, 8), "none"))
     apply_plap_pointwise(op, U)
     assert sorted(set(sides)) == [4, 5]  # ceil(9/2), floor(9/2) and 8/2
 
@@ -319,23 +301,6 @@ def test_scaling_contract_1d():
     a = apply_plap(op_scaled, U)
     b = apply_plap(op_unit, U) * L ** (-s * p)
     assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
-
-
-def test_memory_guard_threshold_is_exact():
-    dims = (6,)
-    op = build_fracplap(build_axis_factors(dims), (1.0,), 0.5, 1.5)
-    # the kernel is 8 * 36 = 288 bytes
-    assert kernel_fits(op, 288)
-    assert not kernel_fits(op, 287)
-    U = np.random.default_rng(9).standard_normal(dims)
-    apply_plap(op, U, mem_budget=287)
-    assert "kernel" not in vars(op)
-    apply_plap(op, U, mem_budget=288)
-    assert "kernel" in vars(op)
-
-
-def test_default_memory_budget_value():
-    assert DEFAULT_MEM_BUDGET == 2**31
 
 
 def test_operator_value_positive_at_gaussian_peak_1d():
@@ -468,7 +433,14 @@ def test_trivial_fold_is_the_full_kernel():
     dims = (5, 6)
     op = build_fracplap(build_axis_factors(dims), (2.0, 2.0), 0.6, 1.8)
     orbits = grid_orbits(dims, "none")
-    assert np.array_equal(folded_kernel(op, orbits), op.kernel)
+    K = folded_kernel(op, orbits)
+    # W * c_const * P diag(pow_tensor) P^-1 over column-major flat indices
+    f0, f1 = op.factors
+    dense = np.kron(f1.P, f0.P) @ (op.pow_tensor.ravel(order="F")[:, None] * np.kron(f1.Pinv, f0.Pinv))
+    A = op.c_const * op.weights[:, None] * dense
+    assert np.max(np.abs(K - A)) <= 1e-13 * np.max(np.abs(A))
+    # held kernel and rebuilt rows: the same blocks, the same bits
     U = np.random.default_rng(12).standard_normal(dims)
-    u = apply_folded(op, orbits, orbits.fold(U), None)
+    u = apply_folded(op, orbits, orbits.fold(U), K)
+    assert np.array_equal(u, apply_folded(op, orbits, orbits.fold(U), None))
     assert np.array_equal(orbits.unfold(u), apply_plap(op, U))

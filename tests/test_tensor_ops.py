@@ -22,10 +22,12 @@ from fracspec.tensor_ops import mirror_axes, parity_fold, parity_unfold, write_c
 
 
 def test_mode_product_identity_is_exact():
-    U = np.random.default_rng(0).standard_normal((4, 5, 6))
-    for axis in range(3):
-        out = mode_product(np.eye(U.shape[axis]), U, axis)
-        assert np.array_equal(out, U)
+    # a zero-length axis must not make the reshapes ambiguous
+    for shape in ((4, 5, 6), (3, 0, 4)):
+        U = np.random.default_rng(0).standard_normal(shape)
+        for axis in range(3):
+            out = mode_product(np.eye(U.shape[axis]), U, axis)
+            assert out.shape == shape and np.array_equal(out, U)
 
 
 def test_mode_product_matches_matrix_algebra_in_2d():
