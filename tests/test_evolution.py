@@ -337,6 +337,21 @@ def test_batched_and_pointwise_paths_agree():
     assert np.array_equal(run_evolution(cfg, u0)[0].U, orbits.unfold(u))
 
 
+def test_run_builds_its_kernel_before_the_first_step(monkeypatch):
+    # a kernel too large for memory fails at its one build, before any step
+    cfg = small_config(N=12, t_end=0.03, dt=0.01, snapshot_times=(0.03,))
+    steps = []
+
+    def no_memory(op, orbits):
+        raise MemoryError("kernel")
+
+    monkeypatch.setattr("fracspec.evolution.folded_kernel", no_memory)
+    monkeypatch.setattr("fracspec.evolution.rk4_step", lambda *args: steps.append(args))
+    with pytest.raises(MemoryError, match="kernel"):
+        run_evolution(cfg, gaussian_field(config_grids(cfg)))
+    assert steps == []
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_batched_run_uses_mode_products_only_to_build_the_kernel(monkeypatch, n):
     calls = []

@@ -219,6 +219,17 @@ def test_constant_field_maps_to_exact_zero():
     assert np.array_equal(apply_plap(op, np.full(12, 4.2)), np.zeros(12))
 
 
+def test_apply_plap_keeps_no_kernel_on_the_operator():
+    dims = (6, 7)
+    op = build_fracplap(build_axis_factors(dims), (2.0, 2.0), 0.6, 1.8)
+    U = np.random.default_rng(6).standard_normal(dims)
+    first = apply_plap(op, U)
+    # nothing M x M stays behind, and a second call rebuilds the same bits
+    held = [v.size for v in vars(op).values() if isinstance(v, np.ndarray)]
+    assert max(held) < math.prod(dims) ** 2
+    assert np.array_equal(apply_plap(op, U), first)
+
+
 def test_kernel_is_read_only_and_symmetric():
     op = build_fracplap(build_axis_factors((7,)), (2.0,), 0.5, 1.5)
     K = folded_kernel(op, grid_orbits((7,), "none"))

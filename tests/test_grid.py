@@ -1,9 +1,12 @@
 """Grid construction, circulant derivative rows, folding, and accuracy."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fracspec import (
+    EvolutionConfig,
     angular_first_deriv_row,
     angular_second_deriv_row,
     build_diff_matrices,
@@ -73,6 +76,21 @@ def test_make_grid_rejects_bad_node_count(bad_n):
 def test_make_grid_rejects_bad_scale(bad_l):
     with pytest.raises(ValueError):
         make_grid(8, bad_l)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda N: make_grid(N, 1.0),
+    angular_first_deriv_row,
+    angular_second_deriv_row,
+    lambda N: EvolutionConfig(n=1, s=0.5, p=2.0, N=N, L=1.0, dt=0.1, t_end=0.1,
+                              snapshot_times=(0.1,)),
+], ids=["make_grid", "first_deriv_row", "second_deriv_row", "EvolutionConfig"])
+def test_node_count_rule_is_one_rule_at_every_entry(entry):
+    # checks.checked_nodes: one test, one message, numpy integers accepted
+    for bad in (1, 0, -3, 2.5, "8"):
+        with pytest.raises(ValueError, match=re.escape(f"N must be an integer >= 2, got {bad!r}")):
+            entry(bad)
+    entry(np.int64(2))
 
 
 # ----------------------------------------------------------------------------

@@ -77,6 +77,20 @@ def test_mode_product_writes_into_a_slice(axis):
     assert np.array_equal(out, mode_product(A, U, axis))
 
 
+@pytest.mark.parametrize("shape, axis", [
+    ((3, 0, 4), 0), ((3, 0, 4), 2), ((0, 5), 1), ((5, 0), 0), ((2, 3, 0), 1), ((4, 0, 0), 0),
+])
+def test_mode_product_on_an_empty_tensor_is_empty(shape, axis):
+    # the contracted axis has data but another one is empty, so the reshape
+    # sizes next to it must be explicit; an empty slice is a valid out
+    A = np.random.default_rng(3).standard_normal((shape[axis],) * 2)
+    got = mode_product(A, np.zeros(shape), axis)
+    assert got.shape == shape and got.size == 0
+    buf = np.zeros(tuple(n + 2 for n in shape))
+    out = buf[tuple(slice(0, n) for n in shape)]
+    assert mode_product(A, np.zeros(shape), axis, out=out) is out
+
+
 def test_mode_product_refuses_an_out_it_cannot_write_in_place():
     U = np.ones((4, 5, 6))
     with pytest.raises(ValueError, match="C-ordered"):
