@@ -40,6 +40,13 @@ def checked_nodes(N: int) -> int:
     return int(N)
 
 
+def checked_positive(name: str, value: float) -> float:
+    """A scalar parameter ``name`` as a float, value > 0; NaN is refused."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
 def checked_field(U: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     """The sample tensor U as a float array, which must have ``shape``."""
     U = np.asarray(U, dtype=float)

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import checked_dimension, checked_exponent, checked_field, checked_nodes, checked_order
+from .checks import checked_dimension, checked_exponent, checked_field, checked_nodes, checked_order, checked_positive
 from .errors import DegenerateExponent, NonFiniteState
 from .fraclap import build_axis_factors
 from .fracplap import Orbits, apply_folded, build_fracplap, folded_kernel, grid_orbits, invariant_group
@@ -56,12 +56,8 @@ class EvolutionConfig:
         object.__setattr__(self, "s", checked_order(self.s))
         object.__setattr__(self, "p", checked_exponent(self.p))
         object.__setattr__(self, "N", checked_nodes(self.N))
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+        for name in ("L", "dt", "t_end"):
+            object.__setattr__(self, name, checked_positive(name, getattr(self, name)))
         times = tuple(float(t) for t in self.snapshot_times)
         if not times:
             raise ValueError("snapshot_times must name at least one time")
@@ -167,8 +163,7 @@ def rescale_section(
 
 def rk4_step(U: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update for dU/dt = rhs(U)."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    dt = checked_positive("dt", dt)
     k1 = rhs(U)
     k2 = rhs(U + 0.5 * dt * k1)
     k3 = rhs(U + 0.5 * dt * k2)

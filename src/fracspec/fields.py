@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import checked_positive
 from .grid import Grid1D
 
 
@@ -36,6 +37,5 @@ def gaussian_field(grids: Sequence[Grid1D]) -> np.ndarray:
 
 def lorentzian_field(grids: Sequence[Grid1D], r: float = 1.0) -> np.ndarray:
     """(1 + |x|^2)**-r sampled on the product grid."""
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r!r}")
-    return (1.0 + radius_squared(grids)) ** (-float(r))
+    r = checked_positive("r", r)
+    return (1.0 + radius_squared(grids)) ** -r

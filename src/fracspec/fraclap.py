@@ -12,13 +12,13 @@ halves (``parity_fold``) and runs two half-size mode products, one per
 parity block of the factor; in between, the modes of every axis are held in
 parity-grouped order, the even ones and then the odd ones.
 
-``apply_fraclap`` first finds the axes along which the field equals its own
-reflection (``mirror_axes``).  The odd half of such an axis is zero, so the
-field is cut to the top ceil(N/2) rows of each, the paired rows doubled, as
-the even half of ``parity_fold`` would hold them; that axis then runs one
-mode product with the even block each way, and the bottom rows of the
-output are copied from its top ones.  On a plane mirrored along both axes
-this is a quarter of the mode-product work.
+``apply_fraclap`` runs under ``on_mirror_half``, which hands it the top
+ceil(N/2) rows of every axis along which the field equals its own
+reflection and copies the output's bottom rows from its top ones.  The odd
+half of such an axis is zero, so with its paired rows doubled, as the even
+half of ``parity_fold`` would hold them, the axis runs one mode product
+with the even block each way.  On a plane mirrored along both axes this is
+a quarter of the mode-product work.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .checks import checked_field, checked_order
 from .eigen import SpectralFactor, factorize
 from .errors import NumericalContractError
 from .grid import make_grid
-from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mirror_axes, mode_product, parity_fold, parity_unfold
+from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mode_product, on_mirror_half, parity_fold, parity_unfold
 
 
 @dataclass(frozen=True)
@@ -181,28 +181,18 @@ def from_eigenbasis(factors: Sequence[SpectralFactor], U: np.ndarray) -> np.ndar
 def apply_fraclap(op: FracLapOperator, U: np.ndarray) -> np.ndarray:
     """Evaluate the operator on a sample tensor of matching shape.
 
-    Along every axis where U equals its reflection (``mirror_axes``) only
-    the even blocks run, on the top ceil(N/2) rows, and the output equals
-    its reflection there exactly: its bottom rows are copies.
+    Along every axis where U equals its reflection only the even blocks
+    run, on the top ceil(N/2) rows (``on_mirror_half``), and the output
+    equals its reflection there exactly: its bottom rows are copies.
     """
-    U = checked_field(U, op.shape)
-    mirrored = mirror_axes(U)
-    axes = [axis for axis, m in enumerate(mirrored) if m]
-    top = tuple(slice((N + 1) // 2 if m else N) for N, m in zip(op.shape, mirrored))
-    if axes:  # the even half of parity_fold, equal to it under ==: paired rows doubled
-        U = U[top].copy()
-        for axis in axes:
-            U[(slice(None),) * axis + (slice(op.shape[axis] // 2),)] *= 2.0
-    tilde = _to_grouped(op.factors, U, mirrored)
-    tilde *= op.grouped_pow[top]
-    X = _from_grouped(op.factors, tilde, mirrored)
-    if not axes:
-        return X
-    out, index = np.empty(op.shape), list(top)
-    out[top] = X
-    for axis in axes:
-        N = op.shape[axis]
-        index[axis] = slice(None)
-        u = np.moveaxis(out[tuple(index)], axis, 0)
-        u[(N + 1) // 2:] = u[:N // 2][::-1]
-    return out
+
+    def on_half(V: np.ndarray, mirrored: tuple[bool, ...]) -> np.ndarray:
+        if any(mirrored):  # the even half of parity_fold, equal to it under ==: paired rows doubled
+            V = V.copy()
+        for axis in (axis for axis, m in enumerate(mirrored) if m):
+            V[(slice(None),) * axis + (slice(op.shape[axis] // 2),)] *= 2.0
+        tilde = _to_grouped(op.factors, V, mirrored)
+        tilde *= op.grouped_pow[tuple(slice(h) for h in V.shape)]
+        return _from_grouped(op.factors, tilde, mirrored)
+
+    return on_mirror_half(on_half, checked_field(U, op.shape))

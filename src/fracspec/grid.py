@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import checked_nodes
+from .checks import checked_nodes, checked_positive
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,7 @@ def make_grid(N: int, L: float) -> Grid1D:
     Grid1D
     """
     N = checked_nodes(N)
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
-    L = float(L)
+    L = checked_positive("L", L)
     j = np.arange(1, N + 1, dtype=float)
     xi = (2.0 * j - 1.0) * (np.pi / (2.0 * N))
     half = (N + 1) // 2
@@ -191,8 +189,7 @@ def differentiate(dm: DiffMatrices, samples: np.ndarray, L: float) -> tuple[np.n
     N = dm.Dx.shape[0]
     if samples.shape != (N,):
         raise ValueError(f"samples must have shape ({N},), got {samples.shape}")
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
+    L = checked_positive("L", L)
     ux = (dm.Dx @ samples) / L
     uxx = (dm.Dxx @ samples) / (L * L)
     return ux, uxx

@@ -24,9 +24,11 @@ the standard two-term large-argument connection takes over, which requires
 a - b away from integers.
 
 Both closed-form references evaluate their hypergeometric once per mirror
-orbit: along every axis where the squared-radius tensor equals its own
-reflection (``mirror_axes``), only the leading ceil(N/2) slice is evaluated
-and the rest is gathered back, which leaves every value unchanged.
+orbit, under ``on_mirror_half``: along every axis where the squared-radius
+tensor equals its own reflection only the top ceil(N/2) slice is evaluated
+and the bottom one is copied from it.  The slice holds every value of the
+tensor, so the series run as long as on the full tensor and every value is
+unchanged.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import checked_dimension, checked_order
+from .checks import checked_dimension, checked_order, checked_positive
 from .errors import NoConvergence, PoleError, QuadratureError
-from .tensor_ops import mirror_axes
+from .tensor_ops import on_mirror_half
 
 # convergence declared when the running term drops below this fraction of
 # the partial sum
@@ -146,9 +148,7 @@ def hyp1f1(a: float, b: float, z: float | np.ndarray) -> HypergeometricResult:
     fails its convergence bound.
     """
     a = float(a)
-    b = float(b)
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b!r}")
+    b = checked_positive("b", float(b))
     z_in = np.asarray(z, dtype=float)
     if z_in.size and float(np.max(z_in)) > 0:
         raise ValueError("z must be nonpositive")
@@ -201,9 +201,7 @@ def hyp2f1(a: float, b: float, c: float, z: float | np.ndarray) -> Hypergeometri
     """
     a = float(a)
     b = float(b)
-    c = float(c)
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    c = checked_positive("c", float(c))
     z_in = np.asarray(z, dtype=float)
     if z_in.size and float(np.max(z_in)) > 0:
         raise ValueError("z must be nonpositive")
@@ -219,33 +217,38 @@ def hyp2f1(a: float, b: float, c: float, z: float | np.ndarray) -> Hypergeometri
     near = zf >= -_BIG_Z
     used = 1
     converged = True
-    if near.any():
-        zeta = zf[near] / (zf[near] - 1.0)
-        s, k, ok = _series_2f1(a, c - b, c, zeta, _MAX_TERMS_2F1)
-        value[near] = (1.0 - zf[near]) ** (-a) * s
-        used = max(used, k)
-        converged &= ok
-    far = ~near
-    if far.any():
-        diff = a - b
-        if abs(diff - round(diff)) <= _DEGENERATE_TOL:
-            raise NoConvergence(
-                f"a - b = {diff!r} is within {_DEGENERATE_TOL:g} of an integer; "
-                "the large-argument connection formula is degenerate"
-            )
-        w = -zf[far]
-        inv = 1.0 / zf[far]
-        c1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
-        c2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-        s1, k1, ok1 = _series_2f1(a, a - c + 1.0, a - b + 1.0, inv, 400)
-        s2, k2, ok2 = _series_2f1(b, b - c + 1.0, b - a + 1.0, inv, 400)
-        value[far] = c1 * w ** (-a) * s1 + c2 * w ** (-b) * s2
-        used = max(used, k1, k2)
-        converged &= ok1 and ok2
+    for branch, where in ((_pfaff_2f1, near), (_connection_2f1, ~near)):
+        if where.any():
+            value[where], k, ok = branch(a, b, c, zf[where])
+            used = max(used, k)
+            converged &= ok
     if not converged:
         raise NoConvergence(f"2F1({a}, {b}; {c}; z) failed its convergence bound within {used} terms")
     out = float(value[0]) if scalar else value.reshape(z_in.shape)
     return HypergeometricResult(out, used, converged)
+
+
+def _pfaff_2f1(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    # (1 - z)**-a 2F1(a, c - b; c; z/(z - 1)), the series argument in [0, 1)
+    s, k, ok = _series_2f1(a, c - b, c, z / (z - 1.0), _MAX_TERMS_2F1)
+    return (1.0 - z) ** (-a) * s, k, ok
+
+
+def _connection_2f1(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    # two-term large-argument connection formula, series in 1/z
+    diff = a - b
+    if abs(diff - round(diff)) <= _DEGENERATE_TOL:
+        raise NoConvergence(
+            f"a - b = {diff!r} is within {_DEGENERATE_TOL:g} of an integer; "
+            "the large-argument connection formula is degenerate"
+        )
+    w = -z
+    inv = 1.0 / z
+    c1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
+    c2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
+    s1, k1, ok1 = _series_2f1(a, a - c + 1.0, a - b + 1.0, inv, 400)
+    s2, k2, ok2 = _series_2f1(b, b - c + 1.0, b - a + 1.0, inv, 400)
+    return c1 * w ** (-a) * s1 + c2 * w ** (-b) * s2, max(k1, k2), ok1 and ok2
 
 
 def exact_fraclap_gaussian(s: float, n: int, r2: float | np.ndarray) -> float | np.ndarray:
@@ -258,7 +261,7 @@ def exact_fraclap_gaussian(s: float, n: int, r2: float | np.ndarray) -> float | 
     s, n = _checked_order(s, n)
     r2 = _checked_radius(r2)
     pref = 2.0 ** (2.0 * s) * math.gamma(s + 0.5 * n) / math.gamma(0.5 * n)
-    return _per_mirror_orbit(lambda z: pref * hyp1f1(s + 0.5 * n, 0.5 * n, -z).value, r2)
+    return on_mirror_half(lambda z, _: pref * hyp1f1(s + 0.5 * n, 0.5 * n, -z).value, r2)
 
 
 def exact_fraclap_algebraic(s: float, r: float, n: int, r2: float | np.ndarray) -> float | np.ndarray:
@@ -268,9 +271,7 @@ def exact_fraclap_algebraic(s: float, r: float, n: int, r2: float | np.ndarray) 
             * 2F1(s+r, s+n/2; n/2; -r2).
     """
     s, n = _checked_order(s, n)
-    r = float(r)
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r!r}")
+    r = checked_positive("r", float(r))
     r2 = _checked_radius(r2)
     pref = (
         2.0 ** (2.0 * s)
@@ -278,25 +279,7 @@ def exact_fraclap_algebraic(s: float, r: float, n: int, r2: float | np.ndarray) 
         * math.gamma(s + 0.5 * n)
         / (math.gamma(r) * math.gamma(0.5 * n))
     )
-    return _per_mirror_orbit(lambda z: pref * hyp2f1(s + r, s + 0.5 * n, 0.5 * n, -z).value, r2)
-
-
-def _per_mirror_orbit(f, r2):
-    """Elementwise ``f(r2)``, f evaluated on the leading half of every axis r2 mirrors.
-
-    The kept block holds every value of r2 and each of its elements meets the
-    same arithmetic as in the full array, so values and series lengths are unchanged.
-    """
-    if np.ndim(r2) == 0:
-        return f(r2)
-    half, index = r2, []
-    for axis, (N, mirrored) in enumerate(zip(r2.shape, mirror_axes(r2))):
-        k = np.arange(N)
-        if mirrored:
-            half = half[(slice(None),) * axis + (slice(0, (N + 1) // 2),)]
-            k = np.minimum(k, N - 1 - k)
-        index.append(k)
-    return f(half)[np.ix_(*index)]
+    return on_mirror_half(lambda z, _: pref * hyp2f1(s + r, s + 0.5 * n, 0.5 * n, -z).value, r2)
 
 
 def _checked_order(s: float, n: int) -> tuple[float, int]:
@@ -435,17 +418,11 @@ def _hyp_checks() -> list[dict]:
         near = np.exp(-w) * series
         far, _, _ = _asymp_1f1(a, b, w)
         worst_1f1 = max(worst_1f1, float(np.max(np.abs(near - far) / np.abs(far))))
-    z = -w
     worst_2f1 = 0.0
     for a, b, c in ((1.3, 0.63, 0.5), (0.7, 1.8, 1.5)):
-        pfaff, _, _ = _series_2f1(a, c - b, c, z / (z - 1.0), 40000)
-        near = (1.0 - z) ** (-a) * pfaff
-        # connection-branch values at the same z, forced through the far path
-        s1, _, _ = _series_2f1(a, a - c + 1.0, a - b + 1.0, 1.0 / z, 400)
-        s2, _, _ = _series_2f1(b, b - c + 1.0, b - a + 1.0, 1.0 / z, 400)
-        g1 = gamma_fn(c) * gamma_fn(b - a) / (gamma_fn(b) * gamma_fn(c - a))
-        g2 = gamma_fn(c) * gamma_fn(a - b) / (gamma_fn(a) * gamma_fn(c - b))
-        far = g1 * w ** (-a) * s1 + g2 * w ** (-b) * s2
+        # both branches of hyp2f1 at the same z, each forced onto every point
+        near, _, _ = _pfaff_2f1(a, b, c, -w)
+        far, _, _ = _connection_2f1(a, b, c, -w)
         worst_2f1 = max(worst_2f1, float(np.max(np.abs(near - far) / np.abs(far))))
     r2 = np.array([0.0, 0.4, 3.0, 90.0, 1e5])
     zero_g = float(np.max(np.abs(exact_fraclap_gaussian(0.0, 3, r2) - np.exp(-r2))))

@@ -1,12 +1,16 @@
 """Dense tensor helpers shared by the operator modules.
 
 Fields on an n-dimensional grid are plain numpy arrays of shape
-(N_1, ..., N_n).  Where a flat ordering matters (the field CSV rows, the
-dense difference table) the convention is first index fastest, i.e.
-column-major: ``numpy.ravel(A, order='F')``.  ``_VALUE`` is the one CSV
-number format, and ``_fill`` fills a chunk of row templates with one ``%``.
-``write_field_csv`` and ``read_field_csv`` add the field layout (1-based
-index columns, a JSON shape sidecar) on top of it.
+(N_1, ..., N_n).  The grid reads the same backwards along every axis, and
+``on_mirror_half`` is the one place that uses a field's mirror symmetry:
+it runs a computation on the top half of every mirrored axis
+(``mirror_axes``) and copies the result into the bottom half.
+
+Where a flat ordering matters (the field CSV rows) the convention is first
+index fastest, i.e. column-major: ``numpy.ravel(A, order='F')``.  ``_VALUE``
+is the one CSV number format, and ``_fill`` fills a chunk of row templates
+with one ``%``.  ``write_field_csv`` and ``read_field_csv`` add the field
+layout (1-based index columns, a JSON shape sidecar) on top of it.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import json
 import math
 import os
 import warnings
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .checks import checked_positive
 from .errors import PositiveEntry
 
 # entries may poke above zero by at most this fraction of the magnitude
@@ -78,28 +83,42 @@ def mirror_axes(U: np.ndarray) -> tuple[bool, ...]:
 
     Equality is under ``==``: +0 and -0 count as equal and a NaN never
     does, so a mirror-symmetric field need not be bitwise symmetric in the
-    sign of its zeros.  The slices are compared from the outside in, the
-    first against the last and then in doubling blocks, so a field without
-    the symmetry usually costs almost nothing.  After a mirrored axis only
-    its top half is compared along the later axes, as the bottom one copies it.
+    sign of its zeros.  After a mirrored axis only its top half is compared
+    along the later axes, as the bottom one copies it.
     """
     U = np.asarray(U)
     mirrored = []
     for axis in range(U.ndim):
-        mirrored.append(_equals_reflection(np.moveaxis(U, axis, 0)))
+        mirrored.append(np.array_equal(U, np.flip(U, axis)))
         if mirrored[-1]:
             U = U[(slice(None),) * axis + (slice((U.shape[axis] + 1) // 2),)]
     return tuple(mirrored)
 
 
-def _equals_reflection(u: np.ndarray) -> bool:
-    m, a, size = len(u) // 2, 0, 1
-    while a < m:
-        b = min(a + size, m)
-        if not np.array_equal(u[a:b], u[::-1][a:b]):
-            return False
-        a, size = b, 2 * size
-    return True
+def on_mirror_half(f: Callable[[np.ndarray, tuple[bool, ...]], np.ndarray], U: np.ndarray) -> np.ndarray:
+    """Evaluate ``f`` on the top ceil(N/2) rows of every axis U mirrors, and mirror the result back.
+
+    This is the parity reduction of a mirror-symmetric field: ``f(half,
+    mirrored)`` receives that slice of U and ``mirror_axes(U)`` and returns
+    an array of the slice's shape.  It fills the top block of a new array,
+    whose bottom rows along each mirrored axis are then copied from its top
+    ones, so the result equals its reflection there exactly.  With no
+    mirrored axis ``f``'s own result is returned.
+    """
+    U = np.asarray(U)
+    mirrored = mirror_axes(U)
+    top = tuple(slice((N + 1) // 2 if m else N) for N, m in zip(U.shape, mirrored))
+    half = f(U[top], mirrored)
+    if not any(mirrored):
+        return half
+    out, index = np.empty(U.shape, half.dtype), list(top)
+    out[top] = half
+    for axis in (axis for axis, m in enumerate(mirrored) if m):
+        N = U.shape[axis]
+        index[axis] = slice(None)
+        u = np.moveaxis(out[tuple(index)], axis, 0)
+        u[(N + 1) // 2:] = u[:N // 2][::-1]
+    return out
 
 
 def parity_fold(U: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -169,14 +188,13 @@ def hadamard_pow_neg(T: np.ndarray, exponent: float) -> np.ndarray:
     magnitude range are clamped to 0; anything larger raises PositiveEntry.
     """
     T = np.asarray(T, dtype=float)
-    if not exponent > 0:
-        raise ValueError(f"exponent must be positive, got {exponent!r}")
+    exponent = checked_positive("exponent", exponent)
     scale = float(np.max(np.abs(T))) if T.size else 0.0
     worst = float(np.max(T)) if T.size else 0.0
     if worst > _POSITIVE_TOL * scale:
         raise PositiveEntry(f"entry {worst:.6e} is positive beyond {_POSITIVE_TOL:g} * {scale:.6e}")
     base = np.where(T < 0.0, -T, 0.0)
-    return base ** float(exponent)
+    return base ** exponent
 
 
 def write_csv(path: str | os.PathLike, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:

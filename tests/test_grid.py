@@ -11,8 +11,14 @@ from fracspec import (
     angular_second_deriv_row,
     build_diff_matrices,
     differentiate,
+    exact_fraclap_algebraic,
     folded_rows,
+    hadamard_pow_neg,
+    hyp1f1,
+    hyp2f1,
+    lorentzian_field,
     make_grid,
+    rk4_step,
 )
 
 
@@ -91,6 +97,33 @@ def test_node_count_rule_is_one_rule_at_every_entry(entry):
         with pytest.raises(ValueError, match=re.escape(f"N must be an integer >= 2, got {bad!r}")):
             entry(bad)
     entry(np.int64(2))
+
+
+def _config(**values):
+    base = dict(n=1, s=0.5, p=2.0, N=8, L=1.0, dt=0.1, t_end=0.1, snapshot_times=(0.1,))
+    return EvolutionConfig(**{**base, **values})
+
+
+@pytest.mark.parametrize("name, entry", [
+    ("L", lambda v: make_grid(8, v)),
+    ("L", lambda v: differentiate(build_diff_matrices(make_grid(4, 1.0)), np.ones(4), v)),
+    ("r", lambda v: lorentzian_field([make_grid(4, 1.0)], v)),
+    ("L", lambda v: _config(L=v)),
+    ("dt", lambda v: _config(dt=v)),
+    ("t_end", lambda v: _config(t_end=v)),
+    ("dt", lambda v: rk4_step(np.ones(3), v, lambda u: u)),
+    ("exponent", lambda v: hadamard_pow_neg(-np.ones(3), v)),
+    ("r", lambda v: exact_fraclap_algebraic(0.5, v, 2, 1.0)),
+    ("b", lambda v: hyp1f1(0.5, v, -1.0)),
+    ("c", lambda v: hyp2f1(0.5, 0.7, v, -1.0)),
+], ids=["make_grid", "differentiate", "lorentzian_field", "config-L", "config-dt", "config-t_end",
+        "rk4_step", "hadamard_pow_neg", "exact_fraclap_algebraic", "hyp1f1", "hyp2f1"])
+def test_positive_rule_is_one_rule_at_every_entry(name, entry):
+    # checks.checked_positive: one test, one message, NaN refused
+    for bad in (0.0, -1.5, float("nan")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be positive, got {bad!r}")):
+            entry(bad)
+    entry(np.float64(0.5))
 
 
 # ----------------------------------------------------------------------------

@@ -385,6 +385,24 @@ def test_references_return_floats_for_scalar_and_0d_input(name):
         assert type(got) is float and got == want
 
 
+@pytest.mark.parametrize("branch", ["_pfaff_2f1", "_connection_2f1"])
+def test_hyp_self_check_runs_the_branches_of_hyp2f1(monkeypatch, branch):
+    # a slip in either branch of hyp2f1 must show in the branch-overlap check
+    inner = getattr(oracles, branch)
+
+    def slipped(*args):
+        value, k, ok = inner(*args)
+        return value * (1.0 + 1e-6), k, ok
+
+    before = hyp2f1(1.3, 0.63, 0.5, np.array([-10.0, -60.0])).value
+    monkeypatch.setattr(oracles, branch, slipped)
+    after = hyp2f1(1.3, 0.63, 0.5, np.array([-10.0, -60.0])).value
+    assert np.count_nonzero(after != before) == 1
+    checks = {c["name"]: c for c in oracles.self_checks("hyp")}
+    assert checks["gauss_branch_overlap"]["max_deviation"] > 1e-7
+    assert not checks["gauss_branch_overlap"]["pass"]
+
+
 # ----------------------------------------------------------------------------
 # integral identities
 # ----------------------------------------------------------------------------

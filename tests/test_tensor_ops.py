@@ -13,7 +13,7 @@ from fracspec import (
     read_field_csv,
     write_field_csv,
 )
-from fracspec.tensor_ops import mirror_axes, parity_fold, parity_unfold, write_csv
+from fracspec.tensor_ops import mirror_axes, on_mirror_half, parity_fold, parity_unfold, write_csv
 
 
 # ----------------------------------------------------------------------------
@@ -133,6 +133,44 @@ def test_mirror_axes_compares_under_equality():
     assert mirror_axes(np.array([0.0, 1.0, -0.0])) == (True,)
     assert mirror_axes(np.array([np.nan, 1.0, np.nan])) == (False,)
     assert mirror_axes(np.ones((1, 3))) == (True, True)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (1, 4), (6, 7), (2, 3, 4), (5, 2, 3), (3, 3, 3)])
+def test_on_mirror_half_runs_f_on_the_top_slice_and_mirrors_back(shape):
+    # every mirror pattern, odd and even N; an axis of one node is always mirrored
+    rng = np.random.default_rng(11)
+    for mask in itertools.product((False, True), repeat=len(shape)):
+        U = rng.standard_normal(shape)
+        for axis, m in enumerate(mask):
+            if m:
+                U = U + np.flip(U, axis)
+        want = tuple(np.array_equal(U, np.flip(U, axis)) for axis in range(U.ndim))
+        top = tuple(slice((N + 1) // 2 if m else N) for N, m in zip(shape, want))
+        calls = []
+
+        def f(half, mirrored):
+            calls.append((half, mirrored, np.exp(half)))  # an elementwise stand-in
+            return calls[-1][2]
+
+        out = on_mirror_half(f, U)
+        assert len(calls) == 1
+        half, mirrored, result = calls[0]
+        assert mirrored == mirror_axes(U) == want
+        assert half.shape == U[top].shape and np.array_equal(half, U[top]) and np.shares_memory(half, U)
+        assert out.shape == shape and np.array_equal(out, np.exp(U))
+        for axis, m in enumerate(want):
+            if m:
+                assert np.array_equal(out, np.flip(out, axis))
+        assert (out is result) == (not any(want))
+
+
+def test_on_mirror_half_returns_the_result_of_f_itself_without_a_mirror():
+    result = np.zeros((2, 3))
+    U = np.arange(6.0).reshape(2, 3)
+    assert mirror_axes(U) == (False, False)
+    assert on_mirror_half(lambda half, mirrored: result, U) is result
+    # a 0-d input has no axis to mirror, so f sees the scalar itself
+    assert on_mirror_half(lambda half, mirrored: (float(half), mirrored), 0.5) == (0.5, ())
 
 
 # ----------------------------------------------------------------------------
