@@ -22,10 +22,10 @@ from . import __version__
 from .checks import checked_exponent, checked_field, checked_order
 from .errors import NumericalContractError
 from .eigen import condition_number, factorize
-from .evolution import config_grids, evolution_route, load_config, quad_mass, run_evolution
+from .evolution import config_grids, load_config, quad_mass, run_evolution
 from .fields import gaussian_field, lorentzian_field, radius_squared
 from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
-from .fracplap import apply_plap, build_fracplap
+from .fracplap import apply_plap, build_fracplap, invariant_orbits
 from .grid import build_diff_matrices, make_grid
 from .oracles import exact_fraclap_algebraic, exact_fraclap_gaussian, self_checks
 from .tensor_ops import mirror_axes, read_field_csv, write_csv, write_field_csv
@@ -212,10 +212,11 @@ def _cmd_fracplap(args) -> int:
     op = build_fracplap(factors, scales, args.s, args.p)
     t_build = time.perf_counter() - t0
     _warn_sp_range(args.s, args.p)
+    route = invariant_orbits(U, scales)[1]
     t0 = time.perf_counter()
     out = apply_plap(op, U)
     t_core = time.perf_counter() - t0
-    report = {"wall_time": t_core}
+    report = {"wall_time": t_core, "route": route}
     t_oracle = 0.0
     if args.compare_exact:
         t0 = time.perf_counter()
@@ -239,7 +240,7 @@ def _cmd_fracplap(args) -> int:
     }
     _manifest(args.out_dir, "fracplap", params,
               {"build": t_build, "core": t_core, "write": t_write, "oracle": t_oracle},
-              [csv_name, os.path.basename(sidecar), name])
+              [csv_name, os.path.basename(sidecar), name], route=route)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -256,7 +257,7 @@ def _cmd_evolve(args) -> int:
     grids = config_grids(config)
     u0 = gaussian_field(grids)
     mass0 = quad_mass(u0, grids)
-    route = evolution_route(config, u0)[1]
+    route = invariant_orbits(u0, [config.L] * config.n)[1]
     t0 = time.perf_counter()
     snapshots = run_evolution(config, u0)
     wall = time.perf_counter() - t0

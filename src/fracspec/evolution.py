@@ -13,10 +13,10 @@ rescaled profile.
 The grid is mirror-exact and the operator commutes with every axis mirror,
 and with the axis swap when N and L are common, so the exact flow keeps
 every symmetry of u0.  A run therefore evolves one value per orbit of the
-largest group leaving u0 unchanged under ``==`` (``invariant_group``; +0 and
--0 count as equal), builds that group's folded kernel once before the first
-step, evaluates every right-hand side with ``fracplap.apply_folded`` on it,
-and unfolds to the full field only to record a snapshot.
+largest group leaving u0 unchanged under ``==`` (``invariant_orbits``; +0
+and -0 count as equal), builds that group's folded kernel once before the
+first step, evaluates every right-hand side with ``fracplap.apply_folded``
+on it, and unfolds to the full field only to record a snapshot.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .checks import checked_dimension, checked_exponent, checked_field, checked_nodes, checked_order, checked_positive
 from .errors import DegenerateExponent, NonFiniteState
 from .fraclap import build_axis_factors
-from .fracplap import Orbits, apply_folded, build_fracplap, folded_kernel, grid_orbits, invariant_group
+from .fracplap import apply_folded, build_fracplap, folded_kernel, invariant_orbits
 from .grid import Grid1D, make_grid
 
 _DEGENERATE_TOL = 1e-14
@@ -177,32 +177,15 @@ def config_grids(config: EvolutionConfig) -> list[Grid1D]:
     return [g] * config.n
 
 
-def evolution_route(config: EvolutionConfig, u0: np.ndarray) -> tuple[Orbits, dict]:
-    """The orbits ``run_evolution`` evolves from u0, and a record of the choice.
-
-    The group is the largest one leaving u0 unchanged under ``==``
-    (``invariant_group``).  The record names it and why, the number of
-    representatives and the bytes of the folded kernel the run holds.
-    """
-    group, reason = invariant_group(checked_field(u0, config.shape))
-    orbits = grid_orbits(config.shape, group)
-    return orbits, {
-        "group": group,
-        "group_reason": reason,
-        "representatives": len(orbits.reps),
-        "kernel_bytes": orbits.kernel_bytes,
-    }
-
-
 def run_evolution(config: EvolutionConfig, u0: np.ndarray) -> list[Snapshot]:
     """Integrate from u0 at t = 0, one Snapshot per requested time.
 
-    The state is the vector of orbit values of ``evolution_route``, and every
-    right-hand side is ``apply_folded`` on it with the folded kernel, built
-    once before the first step, so a kernel too large for memory fails there.
-    A u0 with no symmetry takes the trivial group, whose kernel is the full
-    one of ``apply_plap``, with the same values.  Raises NonFiniteState as
-    soon as any field entry stops being finite.
+    The state is the vector of values at the representatives of u0's
+    ``invariant_orbits``, and every right-hand side is ``apply_folded`` on
+    it with the folded kernel, built once before the first step, so a
+    kernel too large for memory fails there.  A u0 with no symmetry takes
+    the trivial group, whose kernel is the full M x M one.  Raises
+    NonFiniteState as soon as any field entry stops being finite.
     """
     u0 = checked_field(u0, config.shape)
     grids = config_grids(config)
@@ -210,7 +193,7 @@ def run_evolution(config: EvolutionConfig, u0: np.ndarray) -> list[Snapshot]:
     op = build_fracplap(
         [factor] * config.n, [config.L] * config.n, config.s, config.p
     )
-    orbits = evolution_route(config, u0)[0]
+    orbits = invariant_orbits(u0, op.scales)[0]
     params = self_similar_params(config.n, config.s, config.p)
     kernel = folded_kernel(op, orbits)
 

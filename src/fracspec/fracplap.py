@@ -9,9 +9,9 @@ same arithmetic:
   * ``apply_plap_pointwise``: loop over grid points, one difference field
     at a time through the eigenbasis; the reference for the other;
   * ``apply_plap``: the u-independent M x M kernel (M = prod(N_j)) times the
-    quadrature weights, A = W K, which is symmetric, applied in row blocks
-    over the upper triangle.  Each block builds its rows and drops them, so
-    a call holds a few blocks, never the 8 * M**2-byte kernel.
+    quadrature weights, A = W K, which is symmetric, folded onto the field's
+    ``invariant_orbits`` and applied in row blocks over the upper triangle;
+    each block builds its rows and drops them, never holding the whole kernel.
 
 The block loop itself, ``apply_folded``, runs over the orbits of a symmetry
 group of the grid (``grid_orbits``).  On a field invariant under the group
@@ -22,8 +22,8 @@ mu_O the orbit size.  Summing a column with its mirror image cancels every
 odd mode, so under the axis mirrors B is built from the even half blocks
 of the factors on the top half of every axis, never from A; the axis swap
 of a square plane then adds the two columns of each swapped pair.  The
-trivial group, every point its own orbit, gives A itself: that is
-``apply_plap``.
+trivial group, every point its own orbit, gives A itself; a field with no
+symmetry takes it.
 
 Route agreement is a standing test target, so neither shortcuts
 through the other or through the linear operator, even at p = 2 where the
@@ -163,6 +163,22 @@ def invariant_group(U: np.ndarray) -> tuple[str, str]:
     if not np.array_equal(U, U.T):
         return "mirror", "the field is mirror-symmetric along both axes but not swap-symmetric"
     return "mirror+swap", "the field is mirror-symmetric along both axes and swap-symmetric"
+
+
+def invariant_orbits(U: np.ndarray, scales: Sequence[float]) -> tuple[Orbits, dict]:
+    """The orbits every p-Laplacian evaluation of U folds onto, and a record of the choice.
+
+    The group is ``invariant_group(U)``'s, less the axis swap unless both
+    map scales are equal, which makes the swap a symmetry of the operator.
+    The record names the group and why, the number of representatives and
+    the bytes of the folded kernel.
+    """
+    group, reason = invariant_group(U)
+    if group == "mirror+swap" and scales[0] != scales[1]:
+        group, reason = "mirror", f"{reason}, but the scales {tuple(scales)} differ"
+    orbits = grid_orbits(np.shape(U), group)
+    return orbits, {"group": group, "group_reason": reason,
+                    "representatives": len(orbits.reps), "kernel_bytes": orbits.kernel_bytes}
 
 
 def signed_power(t: np.ndarray | float, p: float) -> np.ndarray:
@@ -341,12 +357,10 @@ def apply_folded(op: FracPOperator, orbits: Orbits, u: np.ndarray, kernel: np.nd
 def apply_plap(op: FracPOperator, U: np.ndarray) -> np.ndarray:
     """Evaluate (1/w_i) sum_j A_ij signed_power(u_i - u_j), A = W K.
 
-    This is ``apply_folded`` on the trivial group, whose ``folded_kernel``
-    is A, with every block's rows rebuilt and dropped.  One call builds each
-    row once either way, so only repeated calls on one operator would gain
-    from a held kernel; such a caller holds ``folded_kernel`` and calls
+    This is ``apply_folded`` on the orbits of ``invariant_orbits``, with
+    every block's rows rebuilt and dropped, unfolded to the grid.  A caller
+    that applies one operator many times holds ``folded_kernel`` and calls
     ``apply_folded`` itself, as ``run_evolution`` does.
     """
-    U = checked_field(U, op.shape)
-    u = apply_folded(op, grid_orbits(op.shape, "none"), U.reshape(-1, order="F"), None)
-    return u.reshape(op.shape, order="F")
+    orbits = invariant_orbits(checked_field(U, op.shape), op.scales)[0]
+    return orbits.unfold(apply_folded(op, orbits, orbits.fold(U), None))

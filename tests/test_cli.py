@@ -247,9 +247,11 @@ def test_fracplap_cross_checks_modes_and_reference(tmp_path):
                    "--compare-exact", "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     report = read_json(tmp_path / "fracplap_report.json")
-    assert set(report) == {"max_error", "wall_time", "wall_time_oracle"}
+    assert set(report) == {"max_error", "wall_time", "wall_time_oracle", "route"}
     assert report["wall_time_oracle"] > 0.0
     manifest = read_json(tmp_path / "fracplap_manifest.json")
+    assert set(manifest) == {"subcommand", "version", "parameters", "timings", "outputs", "route"}
+    assert manifest["route"] == report["route"]
     assert manifest["timings"]["write"] >= 0.0
     assert manifest["timings"]["oracle"] == report["wall_time_oracle"]
     assert set(manifest["parameters"]) == {"dims", "scales", "s", "p", "field", "compare_exact"}
@@ -260,6 +262,44 @@ def test_fracplap_cross_checks_modes_and_reference(tmp_path):
     op = build_fracplap(build_axis_factors((12,)), (2.0,), 0.4, 2.0)
     want = apply_plap(op, gaussian_field([make_grid(12, 2.0)]))
     assert np.array_equal(read_field_csv(tmp_path / "fracplap_field.csv"), want)
+
+
+@pytest.mark.parametrize("dims,scales,group,reps", [
+    ("12", "2.0", "mirror", 6),
+    ("9,9", "2.0,2.0", "mirror+swap", 15),
+])
+def test_fracplap_reports_the_route_of_a_builtin_field(tmp_path, dims, scales, group, reps):
+    proc = run_cli("fracplap", "--dims", dims, "--scales", scales, "--s", "0.5", "--p", "1.7",
+                   "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    route = read_json(tmp_path / "fracplap_report.json")["route"]
+    assert route == read_json(tmp_path / "fracplap_manifest.json")["route"]
+    assert (route["group"], route["representatives"]) == (group, reps)
+    assert route["kernel_bytes"] == 8 * reps**2
+    assert "mirror-symmetric" in route["group_reason"]
+
+
+def test_fracplap_reports_the_route_of_a_csv_field(tmp_path):
+    from fracspec import write_field_csv
+
+    # no symmetry: every point its own orbit
+    U = np.random.default_rng(14).standard_normal((5, 6))
+    write_field_csv(tmp_path / "in.csv", U)
+    argv = ("fracplap", "--dims", "5,6", "--scales", "2.0,2.5", "--s", "0.5", "--p", "1.7",
+            "--field", f"csv:{tmp_path / 'in.csv'}", "--out-dir", str(tmp_path))
+    assert run_cli(*argv).returncode == 0
+    route = read_json(tmp_path / "fracplap_report.json")["route"]
+    assert (route["group"], route["representatives"]) == ("none", 30)
+    assert "not mirror-symmetric" in route["group_reason"]
+    # swap-symmetric, but the two scales differ: the mirrors only
+    V = U[:, :5] + U[::-1, :5]
+    V = V + V[:, ::-1]
+    V = V + V.T
+    write_field_csv(tmp_path / "in.csv", V)
+    assert run_cli(*argv[:2], "5,5", *argv[3:]).returncode == 0
+    route = read_json(tmp_path / "fracplap_report.json")["route"]
+    assert (route["group"], route["representatives"]) == ("mirror", 9)
+    assert "scales (2.0, 2.5) differ" in route["group_reason"]
 
 
 def test_fracplap_pole_is_a_contract_violation(tmp_path):

@@ -1,6 +1,7 @@
 """Time integration, self-similar parameters, config parsing."""
 
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -28,8 +29,13 @@ from fracspec import (
     section_overlap_distance,
     self_similar_params,
 )
-from fracspec.evolution import evolution_route
-from fracspec.fracplap import apply_folded, folded_kernel, invariant_group
+from fracspec.fracplap import (
+    apply_folded,
+    folded_kernel,
+    grid_orbits,
+    invariant_group,
+    invariant_orbits,
+)
 from fracspec.tensor_ops import mode_product
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -330,7 +336,7 @@ def test_batched_and_pointwise_paths_agree():
     cfg = small_config(N=24, p=1.8, t_end=0.03, dt=0.01, snapshot_times=(0.03,))
     u0 = gaussian_field(config_grids(cfg))
     op = build_fracplap(build_axis_factors([cfg.N]), [cfg.L], cfg.s, cfg.p)
-    orbits = evolution_route(cfg, u0)[0]
+    orbits = invariant_orbits(u0, [cfg.L] * cfg.n)[0]
     u = orbits.fold(u0)
     for _ in range(3):
         u = rk4_step(u, cfg.dt, lambda v: -apply_folded(op, orbits, v, None))
@@ -374,12 +380,13 @@ def test_batched_run_uses_mode_products_only_to_build_the_kernel(monkeypatch, n)
 
 
 def full_route_run(cfg, u0, steps):
-    """The fields of an RK4 run on the full grid with ``apply_plap``, after each step."""
+    """The fields of an RK4 run on the full grid, the trivial group's orbits, after each step."""
     op = build_fracplap(build_axis_factors([cfg.N]) * cfg.n, [cfg.L] * cfg.n, cfg.s, cfg.p)
-    U, out = u0.copy(), []
+    orbits = grid_orbits(cfg.shape, "none")
+    U, out = u0.ravel(order="F"), []
     for _ in range(steps):
-        U = rk4_step(U, cfg.dt, lambda V: -apply_plap(op, V))
-        out.append(U)
+        U = rk4_step(U, cfg.dt, lambda v: -apply_folded(op, orbits, v, None))
+        out.append(np.ascontiguousarray(U.reshape(cfg.shape, order="F")))
     return out
 
 
@@ -388,7 +395,7 @@ def test_asymmetric_start_takes_the_trivial_group_and_the_full_route(n):
     cfg = small_config(n=n, N=9, p=1.7, dt=0.01, t_end=0.03, snapshot_times=(0.01, 0.03))
     grids = config_grids(cfg)
     u0 = gaussian_field(grids) * (1.0 + 0.1 * np.random.default_rng(13).random(cfg.shape))
-    orbits, route = evolution_route(cfg, u0)
+    orbits, route = invariant_orbits(u0, [cfg.L] * cfg.n)
     assert route["group"] == "none"
     assert route["representatives"] == len(orbits.reps) == 9**n
     snaps = run_evolution(cfg, u0)
@@ -407,7 +414,7 @@ def test_asymmetric_start_takes_the_trivial_group_and_the_full_route(n):
 def test_symmetric_start_evolves_the_orbits(monkeypatch, n, N, p, group):
     cfg = small_config(n=n, N=N, p=p, dt=0.01, t_end=0.03, snapshot_times=(0.01, 0.03))
     u0 = gaussian_field(config_grids(cfg))
-    orbits, route = evolution_route(cfg, u0)
+    orbits, route = invariant_orbits(u0, [cfg.L] * cfg.n)
     assert route["group"] == group
     assert route["kernel_bytes"] == 8 * len(orbits.reps) ** 2
     built = []
@@ -539,6 +546,12 @@ def test_load_config_error_names_the_line(tmp_path):
 def test_shipped_configs_all_parse():
     paths = sorted(CONFIG_DIR.glob("*.cfg"))
     assert len(paths) == 12
+    # configs/README.md: the R column per config, and the largest folded kernel in MB
+    readme = (CONFIG_DIR / "README.md").read_text()
+    rows = re.findall(r"\| `(\w[\w.]*)` \| \d+ \| ([\d,]+) \|", readme)
+    reps = {name: int(R.replace(",", "")) for name, R in rows}
+    assert sorted(reps) == [path.stem for path in paths]
+    kernel_mb = int(re.search(r"at most (\d+) MB", readme).group(1))
     for path in paths:
         cfg = load_config(path)
         assert cfg.n in (1, 2)
@@ -546,6 +559,11 @@ def test_shipped_configs_all_parse():
         assert cfg.p >= 1.0
         assert len(cfg.snapshot_times) == 11
         assert cfg.snapshot_times[-1] == pytest.approx(cfg.t_end)
+        # every config starts from a Gaussian that folds: no run needs the full kernel
+        route = invariant_orbits(gaussian_field(config_grids(cfg)), [cfg.L] * cfg.n)[1]
+        assert route["group"] == ("mirror", "mirror+swap")[cfg.n - 1], path.name
+        assert route["representatives"] == reps[path.stem], path.name
+        assert round(route["kernel_bytes"] / 1e6) <= kernel_mb, path.name
 
 
 def test_shipped_config_values_match_names():

@@ -29,6 +29,7 @@ from fracspec.fracplap import (
     folded_kernel,
     grid_orbits,
     invariant_group,
+    invariant_orbits,
 )
 from fracspec.tensor_ops import mode_product
 
@@ -197,19 +198,34 @@ def test_quadratic_case_reduces_to_linear_operator_2d():
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("dims,scales,s,p", [
-    ((9,), (2.0,), 0.3, 1.6),
-    ((16,), (3.7,), 0.8, 2.2),
-    ((5, 6), (1.0, 1.3), 0.5, 1.4),
-    ((4, 3, 5), (1.0, 2.0, 1.5), 0.25, 2.0),
+@pytest.mark.parametrize("dims,scales,s,p,field", [
+    ((9,), (2.0,), 0.3, 1.6, "random"),
+    ((16,), (3.7,), 0.8, 2.2, "random"),
+    ((5, 6), (1.0, 1.3), 0.5, 1.4, "random"),
+    ((4, 3, 5), (1.0, 2.0, 1.5), 0.25, 2.0, "random"),
+    # invariant fields take the folded route
+    *[(dims, scales, 0.5, p, "gaussian")
+      for dims, scales in [((9,), (2.0,)), ((16,), (3.7,)), ((5, 6), (1.0, 1.3)),
+                           ((4, 3, 5), (1.0, 2.0, 1.5)), ((11, 11), (2.0, 2.0)),
+                           ((12, 12), (3.0, 3.0))]
+      for p in (1.6, 2.0, 2.2)],
+    # swap-symmetric, but the scales differ: the swap is no symmetry of the operator
+    ((11, 11), (2.0, 2.5), 0.5, 1.7, "mirror+swap"),
 ])
-def test_pointwise_and_batched_routes_agree(dims, scales, s, p):
+def test_pointwise_and_batched_routes_agree(dims, scales, s, p, field):
     factors = build_axis_factors(dims)
     op = build_fracplap(factors, scales, s, p)
     U = np.random.default_rng(5).standard_normal(dims)
+    if field == "gaussian":
+        U = gaussian_field([make_grid(N, L) for N, L in zip(dims, scales)])
+    elif field == "mirror+swap":
+        U = symmetrized(U, field)
+        assert invariant_orbits(U, scales)[0].group == "mirror"
     a = apply_plap_pointwise(op, U)
     b = apply_plap(op, U)
     assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
+    # the output is exactly invariant under the group the apply folded onto
+    assert invariant_group(b)[0] == invariant_orbits(U, scales)[0].group
 
 
 def test_constant_field_maps_to_exact_zero():
@@ -347,6 +363,12 @@ def test_apply_validates_shape():
 # ----------------------------------------------------------------------------
 
 
+def full_apply(op, U):
+    """``apply_plap`` on the trivial group, whatever U's symmetry: every point its own orbit."""
+    u = apply_folded(op, grid_orbits(op.shape, "none"), U.ravel(order="F"), None)
+    return u.reshape(op.shape, order="F")
+
+
 def symmetrized(U, group):
     """U summed over its images under the group, bitwise invariant as addition commutes."""
     if group != "none":
@@ -413,6 +435,19 @@ def test_invariant_group_is_the_largest_bitwise_symmetry():
     assert invariant_group(U)[0] == "mirror"
 
 
+def test_invariant_orbits_drop_the_swap_unless_the_scales_agree():
+    g = make_grid(9, 2.0)
+    U = gaussian_field([g, g])
+    orbits, route = invariant_orbits(U, (2.0, 2.0))
+    assert orbits.group == "mirror+swap"
+    assert route == {"group": "mirror+swap", "group_reason": invariant_group(U)[1],
+                     "representatives": 15, "kernel_bytes": 8 * 15**2}
+    orbits, route = invariant_orbits(U, (2.0, 2.5))
+    assert orbits.group == route["group"] == "mirror"
+    assert route["group_reason"].endswith("but the scales (2.0, 2.5) differ")
+    assert route["representatives"] == len(orbits.reps) == 25
+
+
 @pytest.mark.parametrize("p", [1.6, 2.0, 2.2])
 @pytest.mark.parametrize("dims,group", [
     ((31,), "mirror"),
@@ -427,7 +462,7 @@ def test_folded_operator_matches_the_full_one_on_invariant_fields(dims, group, p
     n = len(dims)
     op = build_fracplap(build_axis_factors(dims), (3.0,) * n, 0.5, p)
     U = symmetrized(np.random.default_rng(11).standard_normal(dims), group)
-    full = apply_plap(op, U)
+    full = full_apply(op, U)
     orbits = grid_orbits(dims, group)
     B = folded_kernel(op, orbits)
     assert B.shape == (len(orbits.reps),) * 2
