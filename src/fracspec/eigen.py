@@ -11,13 +11,15 @@ sigma on the top rows, times sqrt(2) on a middle row that the even fold
 counts once.  Each similarity is symmetrized explicitly.  The kernel of the
 even one is known exactly, the unit vector ``z`` proportional to ``1/g``,
 because ``Dxx`` maps constants to zero.  A Householder reflector that sends
-``z`` onto the first coordinate axis deflates that mode, and one symmetric
+``z`` onto the first coordinate axis deflates that mode, and a symmetric
 eigensolve of each of the remaining ``(h-1)x(h-1)`` and ``m x m`` blocks
-gives the strictly negative rest of the spectrum.  The kernel eigenvalue is
-then an exact 0 with the exact constant eigenvector, the eigenvectors are
-orthogonal up to the diagonal similarity, and the inverse needs no solve:
-the kernel row of ``Pinv`` is the normalized quadrature weights, so the
-eigenbasis coefficient of the kernel mode is the discrete mass.
+gives the strictly negative rest of the spectrum; the odd block's
+eigenvectors wait for an unmirrored axis, which no built-in field has.
+The kernel eigenvalue is then an exact 0 with the exact constant
+eigenvector, the eigenvectors are orthogonal up to the diagonal similarity,
+and the inverse needs no solve: the kernel row of ``Pinv`` is the
+normalized quadrature weights, so the eigenbasis coefficient of the kernel
+mode is the discrete mass.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PositiveEigenvalue, SingularMatrix
-from .grid import Grid1D, top_diff_rows
+from .grid import Grid1D, make_grid, top_diff_rows
 from .tensor_ops import parity_fold, parity_unfold
 
 
@@ -43,8 +45,11 @@ class SpectralFactor:
     are stored: with h = ceil(N/2) and m = floor(N/2), ``P_even`` and
     ``P_odd`` are the top h and m rows of the even and odd columns of ``P``,
     ``Pinv_even`` and ``Pinv_odd`` the left h and m columns of the even and
-    odd rows of ``Pinv``.  ``P`` and ``Pinv`` rebuild the dense matrices,
-    whose bottom halves are exact mirror copies, ``P[N-1-i, k] == +-P[i, k]``.
+    odd rows of ``Pinv``.  A mirror-symmetric field reads only the even
+    blocks, so the odd ``lam`` come from an eigenvalue-only solve and
+    ``P_odd``, ``Pinv_odd`` from one ``eigh`` on first access, then kept.
+    ``P`` and ``Pinv`` rebuild the dense matrices, whose bottom halves are
+    exact mirror copies, ``P[N-1-i, k] == +-P[i, k]``.
     ``grouped`` lists the mode positions even ones first, the order in which
     contractions hold the modes, and ``rows`` gives rows of ``P`` in it.
     The kernel column of ``P`` is the constant vector with entries
@@ -57,9 +62,7 @@ class SpectralFactor:
 
     N: int
     P_even: np.ndarray
-    P_odd: np.ndarray
     Pinv_even: np.ndarray
-    Pinv_odd: np.ndarray
     even: np.ndarray
     lam: np.ndarray
     zero_index: int
@@ -71,6 +74,18 @@ class SpectralFactor:
         grouped = np.concatenate([np.flatnonzero(self.even), np.flatnonzero(~self.even)])
         grouped.flags.writeable = False
         return grouped
+
+    @cached_property
+    def _odd(self) -> tuple[np.ndarray, np.ndarray]:
+        # the factor depends only on N, so the odd block is assembled again
+        _, S, g, mult = _folded_blocks(make_grid(self.N, 1.0))
+        m = self.N // 2
+        P, Pinv = _unit_columns(np.linalg.eigh(S)[1], g[:m], mult[:m])
+        P.flags.writeable = Pinv.flags.writeable = False
+        return P, Pinv
+
+    P_odd = property(lambda self: self._odd[0])
+    Pinv_odd = property(lambda self: self._odd[1])
 
     @property
     def P(self) -> np.ndarray:
@@ -105,13 +120,24 @@ def _symmetric_block(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _checked_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lam, Q = np.linalg.eigh(S)
-    if np.any(lam >= 0.0):
-        raise PositiveEigenvalue(
-            f"eigenvalue {float(np.max(lam)):.6e} outside the kernel is not negative"
-        )
-    return lam, Q
+def _folded_blocks(grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The even block E of ``Dxx``, the symmetrized odd block, the similarity g and the row weights."""
+    h, m = (grid.N + 1) // 2, grid.N // 2
+    # the top h rows of Dxx hold both blocks: the even fold on the left, the odd one on the right
+    folded = parity_fold(top_diff_rows(grid)[1], 1)
+    # mirror-extended rows i < m count twice in a norm, a middle row once
+    mult = np.full(h, 2.0)
+    mult[m:] = 1.0
+    g = np.sin(grid.xi[:h]) * np.sqrt(2.0 / mult)
+    return folded[:h, :h], _symmetric_block(folded[:m, h:], g[:m]), g, mult
+
+
+def _unit_columns(Q: np.ndarray, g: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top rows of the unit columns P = g Q / norms and of Pinv, with Pinv diag(mult) P = I."""
+    P = g[:, None] * Q
+    norms = np.sqrt(mult @ P**2)
+    P /= norms
+    return P, np.ascontiguousarray(Q.T / (g * mult) * norms[:, None])
 
 
 def factorize(grid: Grid1D) -> SpectralFactor:
@@ -123,15 +149,8 @@ def factorize(grid: Grid1D) -> SpectralFactor:
         if an eigenvalue outside the kernel mode is not strictly negative.
     """
     n = grid.N
-    h, m = (n + 1) // 2, n // 2
-    # the top h rows of Dxx hold both blocks: E is their even fold, O their odd one
-    folded = parity_fold(top_diff_rows(grid)[1], 1)
-    E, O = folded[:h, :h], folded[:m, h:]
-    # mirror-extended rows i < m count twice in a norm, a middle row once
-    mult = np.full(h, 2.0)
-    mult[m:] = 1.0
-    sigma = np.sin(grid.xi[:h])
-    g = sigma * np.sqrt(2.0 / mult)
+    h = (n + 1) // 2
+    E, S_odd, g, mult = _folded_blocks(grid)
     S = _symmetric_block(E, g)
     z = 1.0 / g
     z /= np.linalg.norm(z)
@@ -143,31 +162,28 @@ def factorize(grid: Grid1D) -> SpectralFactor:
     k = 2.0 * (Su - (u @ Su) * u)
     S -= np.outer(u, k)
     S -= np.outer(k, u)
-    lam_e, Qp = _checked_eigh(S[1:, 1:])
-    lam_o, Q_o = _checked_eigh(_symmetric_block(O, g[:m]))
+    lam_e, Qp = np.linalg.eigh(S[1:, 1:])
+    lam_rest = np.concatenate([lam_e, np.linalg.eigvalsh(S_odd)])
+    if np.any(lam_rest >= 0.0):
+        raise PositiveEigenvalue(
+            f"eigenvalue {float(np.max(lam_rest)):.6e} outside the kernel is not negative"
+        )
     # eigenvectors of the even block: H applied to [0; Qp], then the kernel vector z
     Q_e = np.empty((h, h))
     Q_e[1:, :-1] = Qp
     Q_e[0, :-1] = 0.0
     Q_e[:, :-1] -= 2.0 * np.outer(u, u[1:] @ Qp)
     Q_e[:, -1] = z
-    blocks = []
-    for Q, gq, mq in ((Q_e, g, mult), (Q_o, g[:m], mult[:m])):
-        # top rows of unit columns P = g Q / norms; Pinv (g mq) P = I
-        P = gq[:, None] * Q
-        norms = np.sqrt(mq @ P**2)
-        P /= norms
-        blocks += [P, np.ascontiguousarray(Q.T / (gq * mq) * norms[:, None])]
-    P_even, Pinv_even, P_odd, Pinv_odd = blocks
+    P_even, Pinv_even = _unit_columns(Q_e, g, mult)
     P_even[:, -1] = n ** -0.5  # g * z normalized, without its rounding
-    order = np.argsort(np.concatenate([lam_e, lam_o]), kind="stable")
-    lam = np.append(np.concatenate([lam_e, lam_o])[order], 0.0)
+    order = np.argsort(lam_rest, kind="stable")
+    lam = np.append(lam_rest[order], 0.0)
     even = np.append(order < h - 1, True)
-    for a in (P_even, P_odd, Pinv_even, Pinv_odd, even, lam):
+    for a in (P_even, Pinv_even, even, lam):
         a.flags.writeable = False
     return SpectralFactor(
-        N=n, P_even=P_even, P_odd=P_odd, Pinv_even=Pinv_even, Pinv_odd=Pinv_odd,
-        even=even, lam=lam, zero_index=n - 1, raw_zero_lambda=float(S[0, 0]),
+        N=n, P_even=P_even, Pinv_even=Pinv_even, even=even, lam=lam,
+        zero_index=n - 1, raw_zero_lambda=float(S[0, 0]),
     )
 
 

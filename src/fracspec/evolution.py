@@ -99,9 +99,9 @@ def quad_mass(U: np.ndarray, grids: Sequence[Grid1D]) -> float:
     """Midpoint quadrature of a sample tensor over all of R^n.
 
     The cotangent map turns each axis integral into
-    (pi L / N) * sum of samples / sin(xi)^2.
+    (pi L / N) * sum of samples / sin(xi)^2, summed in C order in any layout.
     """
-    U = checked_field(U, [g.N for g in grids])
+    U = np.asarray(checked_field(U, [g.N for g in grids]), order="C")
     total = U
     for axis, g in enumerate(grids):
         w = np.sin(g.xi) ** 2

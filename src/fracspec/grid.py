@@ -132,9 +132,9 @@ def folded_rows(c: np.ndarray, N: int) -> np.ndarray:
     if c.ndim != 1 or c.size != 3 * N:
         raise ValueError(f"expected a flat vector of length {3 * N}, got shape {c.shape}")
     half = (N + 1) // 2
-    rows = np.arange(half)[:, None]
-    cols = np.arange(N)[None, :]
-    return c[2 * N + cols - rows] + c[2 * N - 1 - cols - rows]
+    # window j is c[j : j + N]; row i adds window 2N - i to window N - i reversed
+    windows = np.lib.stride_tricks.sliding_window_view(c, N)
+    return np.add(windows[2 * N : 2 * N - half : -1], windows[N : N - half : -1, ::-1])
 
 
 def top_diff_rows(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +150,11 @@ def top_diff_rows(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         # keeps the exact reflection symmetry instead of picking up the
         # rounding of the float pi.
         s2x[-1] = 0.0
-    dx_top = -s2[:, None] * folded_rows(angular_first_deriv_row(N), N)
-    dxx_top = s4[:, None] * folded_rows(angular_second_deriv_row(N), N) - s2x[:, None] * dx_top
+    dx_top = folded_rows(angular_first_deriv_row(N), N)
+    dx_top *= -s2[:, None]
+    dxx_top = folded_rows(angular_second_deriv_row(N), N)
+    dxx_top *= s4[:, None]
+    dxx_top -= s2x[:, None] * dx_top
     return dx_top, dxx_top
 
 

@@ -288,10 +288,13 @@ def read_field_csv(path: str | os.PathLike) -> np.ndarray:
     bad = np.flatnonzero(((indices < 1) | (indices > shape)).any(axis=1))
     if bad.size:
         raise ValueError(f"index {tuple(indices[bad[0]].tolist())} out of range for shape {shape}")
-    pos = np.ravel_multi_index(tuple((indices - 1).T), shape, order="F")
-    repeated = np.flatnonzero(np.bincount(pos, minlength=size) > 1)
-    if repeated.size:
-        first = indices[np.argmax(pos == repeated[0])]
+    indices -= 1
+    pos = np.ravel_multi_index(tuple(indices.T), shape, order="F")
+    seen = np.zeros(size, dtype=bool)
+    seen[pos] = True
+    if np.count_nonzero(seen) != pos.size:
+        repeated = np.flatnonzero(np.bincount(pos, minlength=size) > 1)
+        first = indices[np.argmax(pos == repeated[0])] + 1
         raise ValueError(f"index {tuple(first.tolist())} appears twice")
     if pos.size != size:
         raise ValueError(f"expected {size} rows, found {pos.size}")

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from fracspec import (
+    EvolutionConfig,
     PositiveEigenvalue,
     SingularMatrix,
+    apply_fraclap,
+    build_axis_factors,
     build_diff_matrices,
+    build_fraclap,
     condition_number,
     factorize,
+    gaussian_field,
     make_grid,
+    run_evolution,
 )
 
 
@@ -86,6 +92,69 @@ def test_factor_arrays_are_read_only():
     for arr in (f.P, f.Pinv, f.lam, f.P_even, f.P_odd, f.Pinv_even, f.Pinv_odd, f.even, f.grouped):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _recorded_eigh(monkeypatch):
+    """Patch ``np.linalg.eigh`` to record the eigenvalues of every call."""
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def recording(a):
+        lam, vecs = real_eigh(a)
+        calls.append(lam)
+        return lam, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
+@pytest.mark.parametrize("N", [2, 3, 31, 32, 501])
+def test_odd_half_is_solved_once_on_first_access(N, monkeypatch):
+    calls = _recorded_eigh(monkeypatch)
+    f = factorize(make_grid(N, 1.0))
+    assert len(calls) == 1
+    P_odd, Pinv_odd = f.P_odd, f.Pinv_odd
+    assert len(calls) == 2
+    assert f.P_odd is P_odd and f.Pinv_odd is Pinv_odd and f.P.shape == (N, N)
+    assert len(calls) == 2
+    for arr in (P_odd, Pinv_odd):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # every paired row stands for itself and its mirror image
+    m = N // 2
+    assert np.max(np.abs(2.0 * Pinv_odd @ P_odd - np.eye(m))) <= 1e-12
+    stored = f.lam[~f.even]
+    assert np.max(np.abs(calls[1] - stored)) <= 1e-13 * np.max(np.abs(stored))
+
+
+def test_mirror_symmetric_runs_solve_only_the_even_blocks(monkeypatch):
+    calls = _recorded_eigh(monkeypatch)
+    dims, scales = (20, 21), (3.0, 3.5)
+    op = build_fraclap(build_axis_factors(dims), scales, 0.4)
+    apply_fraclap(op, gaussian_field([make_grid(N, L) for N, L in zip(dims, scales)]))
+    assert len(calls) == 2
+    # an asymmetric field solves each axis's odd block once, and only once
+    U = np.random.default_rng(5).standard_normal(dims)
+    apply_fraclap(op, U)
+    assert len(calls) == 4
+    apply_fraclap(op, U)
+    assert len(calls) == 4
+    cfg = EvolutionConfig(n=2, s=0.6, p=1.8, N=9, L=2.0, dt=0.01, t_end=0.02, snapshot_times=(0.02,))
+    run_evolution(cfg, gaussian_field([make_grid(9, 2.0)] * 2))
+    assert len(calls) == 5
+
+
+def test_positive_odd_eigenvalue_is_rejected(monkeypatch):
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def fake(a):
+        lam = real_eigvalsh(a)
+        lam[-1] = 1e-17
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+    with pytest.raises(PositiveEigenvalue):
+        factorize(make_grid(16, 1.0))
 
 
 def _eigh_with_last_eigenvalue(value):

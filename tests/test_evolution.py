@@ -119,6 +119,14 @@ def test_mass_validates_shape():
         quad_mass(np.zeros(17), grids)
 
 
+def test_mass_does_not_depend_on_memory_layout():
+    grids = [make_grid(9, 2.0), make_grid(9, 2.5)]
+    rng = np.random.default_rng(40)
+    for _ in range(200):
+        U = rng.standard_normal((9, 9))
+        assert quad_mass(np.asfortranarray(U), grids) == quad_mass(U, grids)
+
+
 @pytest.mark.parametrize("dims", [(501,), (20, 21), (12, 13, 9)])
 def test_operators_conserve_discrete_mass(dims):
     """The kernel row of every Pinv is the quad_mass weights, so the linear

@@ -33,6 +33,18 @@ from fracspec.fraclap import _from_grouped, _to_grouped
 from fracspec.tensor_ops import mirror_axes
 
 
+class ToyFactor(SpectralFactor):
+    """A factor whose odd half blocks are given, not solved for: identities and halves."""
+
+    @property
+    def P_odd(self):
+        return np.eye(self.N // 2)
+
+    @property
+    def Pinv_odd(self):
+        return 0.5 * np.eye(self.N // 2)
+
+
 def toy_factor(lam):
     """Stand-in factor on the mirror pairs e_i +- e_(N-1-i), spectrum given directly.
 
@@ -42,12 +54,10 @@ def toy_factor(lam):
     lam = np.asarray(lam, dtype=float)
     n = lam.size
     h, m = (n + 1) // 2, n // 2
-    return SpectralFactor(
+    return ToyFactor(
         N=n,
         P_even=np.eye(h),
-        P_odd=np.eye(m),
         Pinv_even=np.diag(np.where(np.arange(h) < m, 0.5, 1.0)),
-        Pinv_odd=0.5 * np.eye(m),
         even=np.arange(n) < h,
         lam=lam,
         zero_index=int(np.argmin(np.abs(lam))),

@@ -143,9 +143,8 @@ def test_constant_validates_parameters():
 
 def test_build_power_tensor_uses_half_sp_order():
     lam = np.array([-4.0, 0.0])
-    half, eye = np.full((1, 1), 0.5), np.eye(1)
     f = SpectralFactor(
-        N=2, P_even=eye, P_odd=eye, Pinv_even=half, Pinv_odd=half, even=np.array([False, True]),
+        N=2, P_even=np.eye(1), Pinv_even=np.full((1, 1), 0.5), even=np.array([False, True]),
         lam=lam, zero_index=1, raw_zero_lambda=0.0,
     )
     op = build_fracplap([f], [1.0], 0.5, 2.0)

@@ -20,6 +20,7 @@ from fracspec import (
     make_grid,
     rk4_step,
 )
+from fracspec.grid import top_diff_rows
 
 
 # ----------------------------------------------------------------------------
@@ -214,6 +215,34 @@ def test_folding_rejects_wrong_length_and_type():
         folded_rows(np.ones(7), 4)
     with pytest.raises(ValueError):
         folded_rows(np.ones((3, 4)), 4)
+
+
+def _gathered_rows(c, N):
+    """``folded_rows`` by its docstring's formula, as one index gather."""
+    rows = np.arange((N + 1) // 2)[:, None]
+    cols = np.arange(N)[None, :]
+    return c[2 * N + cols - rows] + c[2 * N - 1 - cols - rows]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 31, 32, 501, 1000, 1001])
+def test_folded_and_top_rows_equal_the_gather_formula_bitwise(N):
+    first, second = angular_first_deriv_row(N), angular_second_deriv_row(N)
+    assert np.array_equal(_bits(folded_rows(first, N)), _bits(_gathered_rows(first, N)))
+    assert np.array_equal(_bits(folded_rows(second, N)), _bits(_gathered_rows(second, N)))
+    xi = make_grid(N, 1.0).xi[: (N + 1) // 2]
+    s2 = np.sin(xi) ** 2
+    s2x = np.sin(2.0 * xi)
+    if N % 2:
+        s2x[-1] = 0.0
+    dx = -s2[:, None] * _gathered_rows(first, N)
+    dxx = (s2 * s2)[:, None] * _gathered_rows(second, N) - s2x[:, None] * dx
+    dx_top, dxx_top = top_diff_rows(make_grid(N, 2.5))
+    assert np.array_equal(_bits(dx_top), _bits(dx))
+    assert np.array_equal(_bits(dxx_top), _bits(dxx))
 
 
 # ----------------------------------------------------------------------------
