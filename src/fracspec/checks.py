@@ -5,6 +5,7 @@ Each function returns its argument in the type the callers compute with.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +46,14 @@ def checked_positive(name: str, value: float) -> float:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return float(value)
+
+
+def checked_finite(name: str, value: float) -> float:
+    """A scalar parameter ``name`` as a float; NaN and infinities are refused."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def checked_field(U: np.ndarray, shape: Sequence[int]) -> np.ndarray:

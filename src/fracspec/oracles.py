@@ -18,10 +18,12 @@ direct Taylor series alternates destructively, so the Kummer transform
 1F1(a;b;z) = e^z 1F1(b-a;b;-z) is summed instead (single-signed tail).
 Beyond -z = 50 the series is abandoned for the large-argument expansion
 Gamma(b)/Gamma(b-a) * (-z)**-a * sum_k (a)_k (a-b+1)_k / (k! (-z)**k),
-truncated at its smallest term.  The Gauss function uses the Pfaff transform
-onto z/(z-1) in [0, 1); beyond -z = 50 that argument is too close to 1 and
-the standard two-term large-argument connection takes over, which requires
-a - b away from integers.
+truncated at its smallest term.  Each element stops on its own there, so
+that sum runs in cache-sized chunks with the same bits as one pass; a Taylor
+series stops with its whole batch and runs as one pass.  The Gauss function
+uses the Pfaff transform onto z/(z-1) in [0, 1); beyond -z = 50 that
+argument is too close to 1 and the standard two-term large-argument
+connection takes over, which requires a - b away from integers.
 
 Both closed-form references evaluate their hypergeometric once per mirror
 orbit, under ``on_mirror_half``: along every axis where the squared-radius
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import checked_dimension, checked_order, checked_positive
+from .checks import checked_dimension, checked_finite, checked_order, checked_positive
 from .errors import NoConvergence, PoleError, QuadratureError
 from .tensor_ops import on_mirror_half
 
@@ -52,6 +54,9 @@ _ASYMP_TOL = 1e-10
 _BIG_Z = 50.0
 _MAX_TERMS_1F1 = 2000
 _MAX_TERMS_2F1 = 40000
+# far-branch elements summed together by _asymp_1f1: small enough that a
+# chunk's working arrays stay in cache, large enough to amortize the loop
+_CHUNK = 16384
 _POLE_TOL = 1e-12
 # connection formula breaks down when a - b approaches an integer
 _DEGENERATE_TOL = 1e-8
@@ -83,9 +88,7 @@ def gamma_fn(x: float) -> float:
 
     Raises PoleError when x is within 1e-12 of a nonpositive integer.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    x = checked_finite("x", x)
     nearest = round(x)
     if nearest <= 0 and abs(x - nearest) <= _POLE_TOL:
         raise PoleError(f"gamma pole at nonpositive integer, x = {x!r}")
@@ -100,43 +103,52 @@ def _rgamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _series_1f1(a: float, b: float, w: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    # sum_k (a)_k / (b)_k * w**k / k!  for w >= 0
-    term = np.ones_like(w)
-    total = np.ones_like(w)
-    for k in range(_MAX_TERMS_1F1):
-        term = term * ((a + k) / ((b + k) * (k + 1.0))) * w
+def _series(coef, x: np.ndarray, cap: int) -> tuple[np.ndarray, int, bool]:
+    # sum_k t_k, t_0 = 1, t_{k+1} = t_k * coef(k) * x, until every element's
+    # term is below _SERIES_TOL of its partial sum
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(cap):
+        term = term * coef(k) * x
         total = total + term
         if np.all(np.abs(term) <= _SERIES_TOL * np.abs(total)):
             return total, k + 2, True
-    return total, _MAX_TERMS_1F1, False
+    return total, cap, False
+
+
+def _kummer_1f1(a: float, b: float, w: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    # e**-w 1F1(b - a; b; w), each term of the series single-signed
+    c = b - a
+    total, used, ok = _series(lambda k: (c + k) / ((b + k) * (k + 1.0)), w, _MAX_TERMS_1F1)
+    return np.exp(-w) * total, used, ok
 
 
 def _asymp_1f1(a: float, b: float, w: np.ndarray) -> tuple[np.ndarray, int, bool]:
     # Gamma(b)/Gamma(b-a) * w**-a * sum_k (a)_k (a-b+1)_k / (k! w**k),
-    # each element truncated at its smallest term
+    # each element truncated at its smallest term; _CHUNK elements at a time,
+    # each chunk summed until all of its own elements have stopped
     coeff = math.gamma(b) * _rgamma(b - a)
-    term = np.ones_like(w)
     total = np.ones_like(w)
-    last = np.abs(term)
     estimate = np.full_like(w, np.inf)
-    active = np.ones(w.shape, dtype=bool)
     used = 1
-    for k in range(200):
-        term = term * ((a + k) * (a - b + 1.0 + k) / ((k + 1.0) * w))
-        mag = np.abs(term)
-        grew = mag >= last
-        tiny = mag <= 1e-17 * np.abs(total)
-        stopping = active & (grew | tiny)
-        estimate[stopping] = mag[stopping]
-        keep = active & ~grew
-        total[keep] += term[keep]
-        active = keep & ~tiny
-        last = mag
-        used = k + 2
-        if not active.any():
-            break
-    estimate[active] = last[active]
+    for lo in range(0, w.size, _CHUNK):
+        wc, tc, ec = w[lo:lo + _CHUNK], total[lo:lo + _CHUNK], estimate[lo:lo + _CHUNK]
+        term, ratio, mag, last, cut = (np.ones_like(wc) for _ in range(5))
+        active, grew, tiny = (np.ones(wc.shape, dtype=bool) for _ in range(3))
+        for k in range(200):
+            np.divide((a + k) * (a - b + 1.0 + k), np.multiply(wc, k + 1.0, out=ratio), out=ratio)
+            np.abs(np.multiply(term, ratio, out=term), out=mag)
+            # the error estimate of an element is the last term it looked at
+            np.copyto(ec, mag, where=active)
+            np.greater_equal(mag, last, out=grew)
+            np.less_equal(mag, np.multiply(np.abs(tc, out=cut), 1e-17, out=cut), out=tiny)
+            active &= ~grew
+            np.add(tc, term, out=tc, where=active)
+            active &= ~tiny
+            mag, last = last, mag
+            used = max(used, k + 2)
+            if not active.any():
+                break
     ok = bool(np.all(estimate <= _ASYMP_TOL * np.abs(total)))
     return coeff * w ** (-a) * total, used, ok
 
@@ -144,14 +156,13 @@ def _asymp_1f1(a: float, b: float, w: np.ndarray) -> tuple[np.ndarray, int, bool
 def hyp1f1(a: float, b: float, z: float | np.ndarray) -> HypergeometricResult:
     """Confluent hypergeometric 1F1(a; b; z) for b > 0 and z <= 0.
 
-    z may be a scalar or an ndarray.  Raises NoConvergence if any element
-    fails its convergence bound.
+    z may be a scalar or an ndarray.  Raises ValueError for a NaN z or a
+    non-finite a, and NoConvergence if any element fails its convergence
+    bound.
     """
-    a = float(a)
+    a = checked_finite("a", a)
     b = checked_positive("b", float(b))
-    z_in = np.asarray(z, dtype=float)
-    if z_in.size and float(np.max(z_in)) > 0:
-        raise ValueError("z must be nonpositive")
+    z_in = _checked_argument(z)
     scalar = z_in.ndim == 0
     zf = np.atleast_1d(z_in).ravel()
     value = np.empty_like(zf)
@@ -163,33 +174,20 @@ def hyp1f1(a: float, b: float, z: float | np.ndarray) -> HypergeometricResult:
     near = w <= _BIG_Z
     used = 1
     converged = True
-    if near.any():
-        s, k, ok = _series_1f1(b - a, b, w[near])
-        value[near] = np.exp(-w[near]) * s
-        used = max(used, k)
-        converged &= ok
-    far = ~near
-    if far.any():
-        v, k, ok = _asymp_1f1(a, b, w[far])
-        value[far] = v
-        used = max(used, k)
-        converged &= ok
+    for branch, where in ((_kummer_1f1, near), (_asymp_1f1, ~near)):
+        if where.any():
+            value[where], k, ok = branch(a, b, w[where])
+            used = max(used, k)
+            converged &= ok
     if not converged:
         raise NoConvergence(f"1F1({a}, {b}, z) failed its convergence bound within {used} terms")
     out = float(value[0]) if scalar else value.reshape(z_in.shape)
     return HypergeometricResult(out, used, converged)
 
 
-def _series_2f1(a: float, b: float, c: float, x: np.ndarray, cap: int) -> tuple[np.ndarray, int, bool]:
-    # sum_k (a)_k (b)_k / ((c)_k k!) * x**k  for |x| < 1
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(cap):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * x
-        total = total + term
-        if np.all(np.abs(term) <= _SERIES_TOL * np.abs(total)):
-            return total, k + 2, True
-    return total, cap, False
+def _gauss_coef(a: float, b: float, c: float):
+    # term ratio over x of 2F1(a, b; c; x)
+    return lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0))
 
 
 def hyp2f1(a: float, b: float, c: float, z: float | np.ndarray) -> HypergeometricResult:
@@ -197,14 +195,13 @@ def hyp2f1(a: float, b: float, c: float, z: float | np.ndarray) -> Hypergeometri
 
     z may be a scalar or an ndarray.  Large negative arguments use the
     two-term connection formula, which needs a - b away from integers;
-    violations raise NoConvergence.
+    violations raise NoConvergence.  A NaN z or a non-finite a or b raises
+    ValueError.
     """
-    a = float(a)
-    b = float(b)
+    a = checked_finite("a", a)
+    b = checked_finite("b", b)
     c = checked_positive("c", float(c))
-    z_in = np.asarray(z, dtype=float)
-    if z_in.size and float(np.max(z_in)) > 0:
-        raise ValueError("z must be nonpositive")
+    z_in = _checked_argument(z)
     scalar = z_in.ndim == 0
     zf = np.atleast_1d(z_in).ravel()
     if b == c:
@@ -230,7 +227,7 @@ def hyp2f1(a: float, b: float, c: float, z: float | np.ndarray) -> Hypergeometri
 
 def _pfaff_2f1(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
     # (1 - z)**-a 2F1(a, c - b; c; z/(z - 1)), the series argument in [0, 1)
-    s, k, ok = _series_2f1(a, c - b, c, z / (z - 1.0), _MAX_TERMS_2F1)
+    s, k, ok = _series(_gauss_coef(a, c - b, c), z / (z - 1.0), _MAX_TERMS_2F1)
     return (1.0 - z) ** (-a) * s, k, ok
 
 
@@ -246,8 +243,8 @@ def _connection_2f1(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.nda
     inv = 1.0 / z
     c1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
     c2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-    s1, k1, ok1 = _series_2f1(a, a - c + 1.0, a - b + 1.0, inv, 400)
-    s2, k2, ok2 = _series_2f1(b, b - c + 1.0, b - a + 1.0, inv, 400)
+    s1, k1, ok1 = _series(_gauss_coef(a, a - c + 1.0, a - b + 1.0), inv, 400)
+    s2, k2, ok2 = _series(_gauss_coef(b, b - c + 1.0, b - a + 1.0), inv, 400)
     return c1 * w ** (-a) * s1 + c2 * w ** (-b) * s2, max(k1, k2), ok1 and ok2
 
 
@@ -282,6 +279,14 @@ def exact_fraclap_algebraic(s: float, r: float, n: int, r2: float | np.ndarray) 
     return on_mirror_half(lambda z, _: pref * hyp2f1(s + r, s + 0.5 * n, 0.5 * n, -z).value, r2)
 
 
+def _checked_argument(z) -> np.ndarray:
+    # np.max propagates NaN, which fails the test
+    z = np.asarray(z, dtype=float)
+    if z.size and not float(np.max(z)) <= 0:
+        raise ValueError("z must be nonpositive and not NaN")
+    return z
+
+
 def _checked_order(s: float, n: int) -> tuple[float, int]:
     s = float(s)
     if not 0.0 <= s < 1.0:
@@ -291,8 +296,8 @@ def _checked_order(s: float, n: int) -> tuple[float, int]:
 
 def _checked_radius(r2):
     r2 = np.asarray(r2, dtype=float)
-    if r2.size and float(np.min(r2)) < 0:
-        raise ValueError("r2 must be nonnegative")
+    if r2.size and not float(np.min(r2)) >= 0:
+        raise ValueError("r2 must be nonnegative and not NaN")
     return float(r2) if r2.ndim == 0 else r2
 
 
@@ -414,8 +419,7 @@ def _hyp_checks() -> list[dict]:
     w = np.linspace(45.0, 55.0, 41)
     worst_1f1 = 0.0
     for a, b in ((0.63, 0.5), (2.13, 2.0), (1.2, 1.5)):
-        series, _, _ = _series_1f1(b - a, b, w)
-        near = np.exp(-w) * series
+        near, _, _ = _kummer_1f1(a, b, w)
         far, _, _ = _asymp_1f1(a, b, w)
         worst_1f1 = max(worst_1f1, float(np.max(np.abs(near - far) / np.abs(far))))
     worst_2f1 = 0.0

@@ -35,6 +35,10 @@ def brute_1f1(a, b, z, terms=600):
     return total
 
 
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 def brute_2f1(a, b, c, z, terms=4000):
     total = term = 1.0
     for k in range(terms):
@@ -169,6 +173,108 @@ def test_1f1_validates_parameters():
         hyp1f1(1.0, 1.5, 0.5)
 
 
+@pytest.mark.parametrize("z", [float("nan"), np.array([-1.0, float("nan"), -60.0])])
+def test_1f1_refuses_nan_argument_up_front(z):
+    with pytest.raises(ValueError, match="not NaN"):
+        hyp1f1(0.63, 0.5, z)
+
+
+@pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf")])
+def test_1f1_refuses_non_finite_a(a):
+    with pytest.raises(ValueError, match="a must be finite"):
+        hyp1f1(a, 0.5, -1.0)
+
+
+def test_1f1_keeps_its_limit_at_minus_infinity():
+    assert hyp1f1(0.63, 0.5, -math.inf).value == 0.0
+    res = hyp1f1(0.63, 0.5, np.array([-math.inf, -60.0]))
+    assert res.value[0] == 0.0 and res.converged
+
+
+# ----------------------------------------------------------------------------
+# the large-argument expansion, chunk by chunk
+# ----------------------------------------------------------------------------
+
+
+def _asymp_1f1_unchunked(a, b, w):
+    """``oracles._asymp_1f1`` as one loop over every element at once."""
+    coeff = math.gamma(b) * oracles._rgamma(b - a)
+    term = np.ones_like(w)
+    total = np.ones_like(w)
+    last = np.abs(term)
+    estimate = np.full_like(w, np.inf)
+    active = np.ones(w.shape, dtype=bool)
+    used = 1
+    for k in range(200):
+        term = term * ((a + k) * (a - b + 1.0 + k) / ((k + 1.0) * w))
+        mag = np.abs(term)
+        grew = mag >= last
+        tiny = mag <= 1e-17 * np.abs(total)
+        stopping = active & (grew | tiny)
+        estimate[stopping] = mag[stopping]
+        keep = active & ~grew
+        total[keep] += term[keep]
+        active = keep & ~tiny
+        last = mag
+        used = k + 2
+        if not active.any():
+            break
+    estimate[active] = last[active]
+    ok = bool(np.all(estimate <= oracles._ASYMP_TOL * np.abs(total)))
+    return coeff * w ** (-a) * total, used, ok
+
+
+@pytest.fixture(params=[None, 7], ids=["default-chunk", "chunk-7"])
+def chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(oracles, "_CHUNK", request.param)
+    return oracles._CHUNK
+
+
+def _far_points(size, low=50.0, seed=11):
+    """Log-uniform points in (low, 1e8], shuffled, with both ends present."""
+    rng = np.random.default_rng(seed)
+    w = np.exp(rng.uniform(math.log(low), math.log(1e8), size))
+    w[0] = np.nextafter(low, math.inf)
+    w[-1] = 1e8
+    return rng.permutation(w)
+
+
+@pytest.mark.parametrize("size", ["1", "C-1", "C", "C+1", "3C+5"])
+@pytest.mark.parametrize("a, b", [(1.3, 1.0), (0.63, 0.5), (2.13, 2.0)])
+def test_chunked_asymptotic_equals_the_unchunked_loop_bitwise(chunk, size, a, b):
+    n = {"1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1, "3C+5": 3 * chunk + 5}[size]
+    w = _far_points(n)
+    got, used, ok = oracles._asymp_1f1(a, b, w)
+    want, want_used, want_ok = _asymp_1f1_unchunked(a, b, w)
+    assert np.array_equal(bits(got), bits(want))
+    assert (used, ok) == (want_used, want_ok)
+
+
+def test_chunked_asymptotic_reports_a_failure_in_the_last_chunk_only(chunk):
+    # a = 20 converges for large w only; the one small w sits in the last chunk
+    w = _far_points(2 * chunk + 3, low=1e5)
+    assert oracles._asymp_1f1(20.0, 0.5, w)[2]
+    w[-1] = 50.5
+    got, used, ok = oracles._asymp_1f1(20.0, 0.5, w)
+    want, want_used, want_ok = _asymp_1f1_unchunked(20.0, 0.5, w)
+    assert np.array_equal(bits(got), bits(want))
+    assert (used, ok) == (want_used, want_ok)
+    assert not ok
+    with pytest.raises(NoConvergence):
+        hyp1f1(20.0, 0.5, -w)
+
+
+def test_1f1_far_branch_value_is_the_same_alone_and_in_an_array(chunk):
+    # far-branch elements stop on their own, so the batch does not move their bits
+    # (near-branch elements stop with their batch, hence rel=1e-14 above)
+    z = -np.concatenate([_far_points(2 * chunk + 1), np.linspace(0.0, 50.0, 9)])
+    z = np.random.default_rng(5).permutation(z)
+    together = hyp1f1(1.3, 1.0, z).value
+    for i in np.flatnonzero(z < -50.0)[:: max(1, z.size // 40)]:
+        assert np.array_equal(bits(hyp1f1(1.3, 1.0, z[i]).value), bits(together[i]))
+
+
 # ----------------------------------------------------------------------------
 # hyp2f1
 # ----------------------------------------------------------------------------
@@ -238,6 +344,25 @@ def test_2f1_validates_parameters():
         hyp2f1(1.0, 1.0, -1.0, -1.0)
     with pytest.raises(ValueError):
         hyp2f1(1.0, 1.0, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("z", [float("nan"), np.array([-1.0, float("nan"), -80.0])])
+def test_2f1_refuses_nan_argument_up_front(z):
+    with pytest.raises(ValueError, match="not NaN"):
+        hyp2f1(0.5, 0.7, 1.2, z)
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_2f1_refuses_non_finite_a_and_b(name, bad):
+    params = {"a": 0.5, "b": 0.7}
+    params[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        hyp2f1(params["a"], params["b"], 1.2, -1.0)
+
+
+def test_2f1_keeps_its_limit_at_minus_infinity():
+    assert hyp2f1(1.3, 0.63, 0.5, -math.inf).value == 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -336,8 +461,16 @@ REFERENCES = {
 }
 
 
-def bits(a):
-    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_references_refuse_nan_radius(name):
+    for r2 in (float("nan"), [0.0, float("nan")]):
+        with pytest.raises(ValueError, match="r2 must be nonnegative and not NaN"):
+            REFERENCES[name](0.3, 1, r2)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_references_vanish_at_infinite_radius(name):
+    assert REFERENCES[name](0.3, 1, math.inf) == 0.0
 
 
 @pytest.mark.parametrize("dims", [(9,), (10,), (16, 17), (17, 16), (5, 6, 7), (6, 6, 5)])
