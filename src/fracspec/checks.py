@@ -42,9 +42,9 @@ def checked_nodes(N: int) -> int:
 
 
 def checked_positive(name: str, value: float) -> float:
-    """A scalar parameter ``name`` as a float, value > 0; NaN is refused."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+    """A scalar parameter ``name`` as a float, 0 < value < inf; NaN is refused."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 
 

@@ -63,7 +63,12 @@ def _make_field(selector: str, grids, dims):
         r = float(selector.partition(":")[2])
         return lorentzian_field(grids, r), "lorentzian", r
     if selector.startswith("csv:"):
-        return checked_field(read_field_csv(selector.partition(":")[2]), dims), "csv", None
+        U = checked_field(read_field_csv(selector.partition(":")[2]), dims)
+        bad = np.argwhere(~np.isfinite(U))
+        if bad.size:  # one NaN or inf would spread to every output entry
+            value, index = float(U[tuple(bad[0])]), tuple((bad[0] + 1).tolist())
+            raise ValueError(f"field {selector!r} holds the non-finite value {value} at index {index}")
+        return U, "csv", None
     raise ValueError(
         f"unknown field {selector!r}; expected gaussian, lorentzian[:r], or csv:PATH"
     )

@@ -19,7 +19,9 @@ The kernel eigenvalue is then an exact 0 with the exact constant
 eigenvector, the eigenvectors are orthogonal up to the diagonal similarity,
 and the inverse needs no solve: the kernel row of ``Pinv`` is the
 normalized quadrature weights, so the eigenbasis coefficient of the kernel
-mode is the discrete mass.
+mode is the discrete mass.  The modes keep the block layout, the even
+block and then the odd one, in every array of the factor and in every
+contraction with it.
 """
 
 from __future__ import annotations
@@ -38,20 +40,20 @@ from .tensor_ops import parity_fold, parity_unfold
 class SpectralFactor:
     """Diagonalization ``Dxx = P @ diag(lam) @ Pinv`` with an exact kernel, stored by parity.
 
-    ``lam`` is sorted ascending and real by construction: ``lam[zero_index]``
-    is the exact 0 at the end and every other entry is strictly negative.
-    Mode position k is even (``even[k]``) when column k of ``P`` and row k
-    of ``Pinv`` are mirror-even, else odd, and only the square half blocks
-    are stored: with h = ceil(N/2) and m = floor(N/2), ``P_even`` and
+    The modes are held even ones first: with h = ceil(N/2) and
+    m = floor(N/2), columns 0..h-1 of ``P`` and rows 0..h-1 of ``Pinv`` are
+    mirror-even and the last m are mirror-odd.  ``lam`` is real by
+    construction, each block ascending: the even block ends with the exact
+    kernel 0 at ``zero_index`` = h-1, and every other entry is strictly
+    negative.  Only the square half blocks are stored: ``P_even`` and
     ``P_odd`` are the top h and m rows of the even and odd columns of ``P``,
     ``Pinv_even`` and ``Pinv_odd`` the left h and m columns of the even and
     odd rows of ``Pinv``.  A mirror-symmetric field reads only the even
     blocks, so the odd ``lam`` come from an eigenvalue-only solve and
     ``P_odd``, ``Pinv_odd`` from one ``eigh`` on first access, then kept.
     ``P`` and ``Pinv`` rebuild the dense matrices, whose bottom halves are
-    exact mirror copies, ``P[N-1-i, k] == +-P[i, k]``.
-    ``grouped`` lists the mode positions even ones first, the order in which
-    contractions hold the modes, and ``rows`` gives rows of ``P`` in it.
+    exact mirror copies, ``P[N-1-i, k] == +-P[i, k]``, and ``rows`` reads
+    rows of ``P`` from the half blocks alone.
     The kernel column of ``P`` is the constant vector with entries
     ``N**-0.5``, and the kernel row of ``Pinv`` is ``sqrt(N) * w / sum(w)``
     for the quadrature weights ``w = 1/sin(xi)**2``.  Columns of ``P`` have
@@ -63,17 +65,9 @@ class SpectralFactor:
     N: int
     P_even: np.ndarray
     Pinv_even: np.ndarray
-    even: np.ndarray
     lam: np.ndarray
     zero_index: int
     raw_zero_lambda: float
-
-    @cached_property
-    def grouped(self) -> np.ndarray:
-        """Mode positions in parity-grouped order: the even ones, then the odd ones."""
-        grouped = np.concatenate([np.flatnonzero(self.even), np.flatnonzero(~self.even)])
-        grouped.flags.writeable = False
-        return grouped
 
     @cached_property
     def _odd(self) -> tuple[np.ndarray, np.ndarray]:
@@ -101,13 +95,12 @@ class SpectralFactor:
         h = len(even)
         A = np.zeros((self.N, self.N))
         A[:h, :h], A[h:, h:] = even, odd
-        mode_axis = 1 - grid_axis
-        A = np.take(parity_unfold(A, grid_axis), np.argsort(self.grouped), mode_axis)
+        A = parity_unfold(A, grid_axis)
         A.flags.writeable = False
         return A
 
     def rows(self, i: np.ndarray | int) -> np.ndarray:
-        """Rows ``i`` of ``P`` with the modes in parity-grouped order, ``P[i][..., grouped]``."""
+        """Rows ``i`` of ``P``, ``P[i]``, read from the half blocks."""
         i = np.asarray(i)
         top = np.minimum(i, self.N - 1 - i)
         h, m = len(self.P_even), len(self.P_odd)
@@ -176,14 +169,12 @@ def factorize(grid: Grid1D) -> SpectralFactor:
     Q_e[:, -1] = z
     P_even, Pinv_even = _unit_columns(Q_e, g, mult)
     P_even[:, -1] = n ** -0.5  # g * z normalized, without its rounding
-    order = np.argsort(lam_rest, kind="stable")
-    lam = np.append(lam_rest[order], 0.0)
-    even = np.append(order < h - 1, True)
-    for a in (P_even, Pinv_even, even, lam):
+    lam = np.insert(lam_rest, h - 1, 0.0)  # the kernel ends the even block
+    for a in (P_even, Pinv_even, lam):
         a.flags.writeable = False
     return SpectralFactor(
-        N=n, P_even=P_even, Pinv_even=Pinv_even, even=even, lam=lam,
-        zero_index=n - 1, raw_zero_lambda=float(S[0, 0]),
+        N=n, P_even=P_even, Pinv_even=Pinv_even, lam=lam,
+        zero_index=h - 1, raw_zero_lambda=float(S[0, 0]),
     )
 
 

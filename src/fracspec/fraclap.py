@@ -9,8 +9,8 @@ the per-axis constant modes, which annihilates constant fields exactly.
 
 Each move folds one axis at a time into its mirror-even and mirror-odd
 halves (``parity_fold``) and runs two half-size mode products, one per
-parity block of the factor; in between, the modes of every axis are held in
-parity-grouped order, the even ones and then the odd ones.
+parity block of the factor, so the modes of every axis come out in the
+factor's order, the even ones and then the odd ones.
 
 ``apply_fraclap`` runs under ``on_mirror_half``, which hands it the top
 ceil(N/2) rows of every axis along which the field equals its own
@@ -39,25 +39,19 @@ from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mode_product, on_mir
 class FracLapOperator:
     """Immutable fractional Laplacian of order ``s`` on a fixed grid.
 
-    ``grouped_pow`` caches the entrywise ``s`` power of the negated
-    eigenvalue-sum tensor, scale division included, with every axis in its
-    factor's parity-grouped mode order, so repeated applies cost only mode
-    products.
+    ``pow_tensor`` caches the read-only entrywise ``s`` power of the negated
+    eigenvalue-sum tensor, scale division included, so repeated applies
+    cost only mode products.
     """
 
     factors: tuple[SpectralFactor, ...]
     scales: tuple[float, ...]
     s: float
-    grouped_pow: np.ndarray
+    pow_tensor: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.N for f in self.factors)
-
-    @property
-    def pow_tensor(self) -> np.ndarray:
-        """Read-only ``grouped_pow`` in natural mode order, gathered on each access."""
-        return _natural(self.factors, self.grouped_pow)
 
 
 def build_axis_factors(dims: Sequence[int]) -> tuple[SpectralFactor, ...]:
@@ -74,13 +68,12 @@ def _power_tensor(
     scales: Sequence[float],
     order: float,
 ) -> np.ndarray:
-    """Read-only entrywise ``order`` power of the negated eigenvalue sums, in grouped mode order.
+    """Read-only entrywise ``order`` power of the negated eigenvalue sums.
 
     ``eigen_sum_tensor`` refuses an empty axis list, a factor/scale count
     mismatch and a nonpositive scale.
     """
-    lambdas = [f.lam[f.grouped] for f in factors]
-    pow_tensor = hadamard_pow_neg(eigen_sum_tensor(lambdas, scales), order)
+    pow_tensor = hadamard_pow_neg(eigen_sum_tensor([f.lam for f in factors], scales), order)
     pow_tensor.flags.writeable = False
     return pow_tensor
 
@@ -94,25 +87,13 @@ def build_fraclap(
     s = checked_order(s)
     factors = tuple(factors)
     scales = tuple(float(L) for L in scales)
-    grouped_pow = _power_tensor(factors, scales, s)
-    zeros = int(np.count_nonzero(grouped_pow == 0.0))
+    pow_tensor = _power_tensor(factors, scales, s)
+    zeros = int(np.count_nonzero(pow_tensor == 0.0))
     if zeros != 1:
         raise NumericalContractError(
             f"power tensor must vanish on exactly one mode, found {zeros}"
         )
-    return FracLapOperator(factors=factors, scales=scales, s=s, grouped_pow=grouped_pow)
-
-
-def _grouped(factors: Sequence[SpectralFactor], T: np.ndarray) -> np.ndarray:
-    """Mode tensor ``T`` with every axis in its factor's parity-grouped order."""
-    return T[np.ix_(*(f.grouped for f in factors))]
-
-
-def _natural(factors: Sequence[SpectralFactor], T: np.ndarray) -> np.ndarray:
-    """Read-only mode tensor ``T`` with every axis from parity-grouped back to natural order."""
-    T = T[np.ix_(*(np.argsort(f.grouped) for f in factors))]
-    T.flags.writeable = False
-    return T
+    return FracLapOperator(factors=factors, scales=scales, s=s, pow_tensor=pow_tensor)
 
 
 def _half_products(
@@ -131,12 +112,12 @@ def _other(buffers: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
     return buffers[1] if X is buffers[0] else buffers[0]
 
 
-def _to_grouped(factors: Sequence[SpectralFactor], U: np.ndarray, mirrored: Sequence[bool] = ()) -> np.ndarray:
-    """``to_eigenbasis`` with every axis in parity-grouped mode order.
+def _to_modes(factors: Sequence[SpectralFactor], U: np.ndarray, mirrored: Sequence[bool] = ()) -> np.ndarray:
+    """``to_eigenbasis``, with the even half alone on the axes flagged in ``mirrored``.
 
-    On each axis flagged in ``mirrored``, U holds only the even half of
-    ``parity_fold`` and the result only the even modes, one product with
-    ``Pinv_even``; the other axes run both halves.
+    On each such axis U holds only the even half of ``parity_fold`` and
+    the result only the even modes, one product with ``Pinv_even``; the
+    other axes run both halves.
     """
     buffers = np.empty(U.shape), np.empty(U.shape)
     for axis, (f, m) in enumerate(zip(factors, mirrored or [False] * len(factors))):
@@ -148,12 +129,12 @@ def _to_grouped(factors: Sequence[SpectralFactor], U: np.ndarray, mirrored: Sequ
     return U
 
 
-def _from_grouped(factors: Sequence[SpectralFactor], C: np.ndarray, mirrored: Sequence[bool] = ()) -> np.ndarray:
-    """``from_eigenbasis`` of a tensor with every axis in parity-grouped mode order.
+def _from_modes(factors: Sequence[SpectralFactor], C: np.ndarray, mirrored: Sequence[bool] = ()) -> np.ndarray:
+    """``from_eigenbasis``, with the even modes alone on the axes flagged in ``mirrored``.
 
-    On each axis flagged in ``mirrored``, C holds only the even modes and the
-    result only the top ceil(N/2) rows, one product with ``P_even``.
-    Overwrites ``C``, and returns it when no axis is flagged.
+    On each such axis C holds only the even modes and the result only the
+    top ceil(N/2) rows, one product with ``P_even``.  Overwrites ``C``, and
+    returns it when no axis is flagged.
     """
     buffers = C, np.empty(C.shape)
     for axis, (f, m) in enumerate(zip(factors, mirrored or [False] * len(factors))):
@@ -167,15 +148,12 @@ def _from_grouped(factors: Sequence[SpectralFactor], C: np.ndarray, mirrored: Se
 
 def to_eigenbasis(factors: Sequence[SpectralFactor], U: np.ndarray) -> np.ndarray:
     """Mode-multiply the inverse eigenvector matrix along every axis."""
-    C = _to_grouped(factors, U)
-    out = np.empty_like(C)
-    out[np.ix_(*(f.grouped for f in factors))] = C
-    return out
+    return _to_modes(factors, U)
 
 
-def from_eigenbasis(factors: Sequence[SpectralFactor], U: np.ndarray) -> np.ndarray:
-    """Mode-multiply the eigenvector matrix along every axis."""
-    return _from_grouped(factors, _grouped(factors, U))
+def from_eigenbasis(factors: Sequence[SpectralFactor], C: np.ndarray) -> np.ndarray:
+    """Mode-multiply the eigenvector matrix along every axis; ``C`` is left unchanged."""
+    return _from_modes(factors, np.array(C, dtype=float))
 
 
 def apply_fraclap(op: FracLapOperator, U: np.ndarray) -> np.ndarray:
@@ -191,8 +169,8 @@ def apply_fraclap(op: FracLapOperator, U: np.ndarray) -> np.ndarray:
             V = V.copy()
         for axis in (axis for axis, m in enumerate(mirrored) if m):
             V[(slice(None),) * axis + (slice(op.shape[axis] // 2),)] *= 2.0
-        tilde = _to_grouped(op.factors, V, mirrored)
-        tilde *= op.grouped_pow[tuple(slice(h) for h in V.shape)]
-        return _from_grouped(op.factors, tilde, mirrored)
+        tilde = _to_modes(op.factors, V, mirrored)
+        tilde *= op.pow_tensor[tuple(slice(h) for h in V.shape)]
+        return _from_modes(op.factors, tilde, mirrored)
 
     return on_mirror_half(on_half, checked_field(U, op.shape))

@@ -42,7 +42,7 @@ import numpy as np
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
 from .errors import PoleError
-from .fraclap import _half_products, _natural, _power_tensor, _to_grouped
+from .fraclap import _half_products, _power_tensor, to_eigenbasis
 from .grid import make_grid
 from .tensor_ops import mirror_axes, mode_product, parity_unfold
 
@@ -57,27 +57,21 @@ GROUPS = ("none", "mirror", "mirror+swap")
 class FracPOperator:
     """Immutable fractional p-Laplacian of order s, exponent p.
 
-    ``grouped_pow`` caches the entrywise s*p/2 power of the negated
-    eigenvalue-sum tensor (scale division included) with every axis in
-    parity-grouped mode order; ``c_const`` is the closed-form constant
-    multiplying every pointwise evaluation.
+    ``pow_tensor`` caches the read-only entrywise s*p/2 power of the negated
+    eigenvalue-sum tensor (scale division included); ``c_const`` is the
+    closed-form constant multiplying every pointwise evaluation.
     """
 
     factors: tuple[SpectralFactor, ...]
     scales: tuple[float, ...]
     s: float
     p: float
-    grouped_pow: np.ndarray
+    pow_tensor: np.ndarray
     c_const: float
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.N for f in self.factors)
-
-    @property
-    def pow_tensor(self) -> np.ndarray:
-        """Read-only ``grouped_pow`` in natural mode order, gathered on each access."""
-        return _natural(self.factors, self.grouped_pow)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -237,15 +231,15 @@ def build_fracplap(
         scales=scales,
         s=s,
         p=p,
-        grouped_pow=_power_tensor(factors, scales, 0.5 * s * p),
+        pow_tensor=_power_tensor(factors, scales, 0.5 * s * p),
         c_const=plap_constant(len(factors), s, p),
     )
 
 
 def _point_value(op: FracPOperator, U: np.ndarray, idx: tuple[int, ...]) -> float:
     W = signed_power(U[idx] - U, op.p)
-    G = _to_grouped(op.factors, W)
-    G *= op.grouped_pow
+    G = to_eigenbasis(op.factors, W)
+    G *= op.pow_tensor
     for f, i in zip(op.factors, idx):
         G = np.tensordot(f.rows(i), G, axes=(0, 0))
     return op.c_const * float(G)
@@ -292,7 +286,7 @@ def _kernel_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndar
     G = np.empty(dims) if orbits.group == "mirror+swap" else out.reshape(dims)
     work = np.empty_like(G)
     np.multiply((op.c_const * orbits.mult[a:b] * op.weights[reps]).reshape(-1, *(1,) * n),
-                op.grouped_pow[tuple(map(slice, side))].T, out=G)
+                op.pow_tensor[tuple(map(slice, side))].T, out=G)
     for k, (f, i) in enumerate(zip(op.factors, idx)):
         axis = n - k
         shape = [b - a] + [1] * n

@@ -196,6 +196,30 @@ def test_compare_exact_refuses_csv_field_before_any_work(tmp_path, command):
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [("fraclap",), ("fracplap", "--p", "1.7")],
+                         ids=["fraclap", "fracplap"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_csv_field_is_refused_before_factorization(tmp_path, monkeypatch, capsys,
+                                                              command, bad):
+    """In-process, with the factorization replaced by a function that fails."""
+    from fracspec import cli, gaussian_field, make_grid, write_field_csv
+
+    U = gaussian_field([make_grid(6, 2.0), make_grid(7, 2.0)])
+    U[2, 4] = bad
+    write_field_csv(tmp_path / "in.csv", U)
+
+    def no_factorization(dims):
+        raise AssertionError("build_axis_factors ran on a non-finite field")
+
+    monkeypatch.setattr(cli, "build_axis_factors", no_factorization)
+    out_dir = tmp_path / "out"
+    code = cli.main([*command, "--dims", "6,7", "--scales", "2.0,2.0", "--s", "0.5",
+                     "--field", f"csv:{tmp_path / 'in.csv'}", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert f"non-finite value {bad} at index (3, 5)" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_fraclap_rejects_unknown_field(tmp_path):
     proc = run_cli(
         "fraclap", "--dims", "8", "--scales", "2.0", "--s", "0.5",
@@ -387,6 +411,23 @@ def test_evolve_refuses_snapshot_times_sharing_a_file_name(tmp_path):
     assert proc.returncode == 1
     assert "snap_t0.02.csv" in proc.stderr
     assert list(out_dir.glob("snap_*.csv")) == []
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("fracplap", "--dims", "8", "--scales", "inf", "--s", "0.5", "--p", "1.7"), None),
+    (("nodes", "--n", "8", "--scale", "inf"), None),
+    (("evolve",), TINY_CFG.replace("t_end = 0.03", "t_end = inf")),
+], ids=["fracplap-scales", "nodes-scale", "evolve-t_end"])
+def test_infinite_parameters_exit_one_without_a_traceback(tmp_path, argv, config):
+    if config is not None:
+        (tmp_path / "inf.cfg").write_text(config)
+        argv += ("--config", str(tmp_path / "inf.cfg"))
+    out_dir = tmp_path / "out"
+    proc = run_cli(*argv, "--out-dir", str(out_dir))
+    assert proc.returncode == 1
+    assert "must be positive and finite, got inf" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(out_dir.iterdir()) == []
 
 
 def test_evolve_missing_config_exits_one(tmp_path):

@@ -26,11 +26,13 @@ def second_derivative_matrix(N):
 @pytest.mark.parametrize("N", [2, 3, 8, 16, 32, 64, 128, 256])
 def test_factorization_contract_on_derivative_matrices(N):
     f = factorize(make_grid(N, 1.0))
+    h = (N + 1) // 2
     assert f.N == N
-    assert np.all(np.diff(f.lam) > 0)
-    assert f.zero_index == N - 1
-    assert f.lam[f.zero_index] == 0.0
-    assert np.all(f.lam[: N - 1] < 0.0)
+    # the even block ascending to the exact kernel 0, then the odd block ascending
+    assert np.all(np.diff(f.lam[: h - 1]) > 0) and np.all(f.lam[: h - 1] < 0.0)
+    assert f.zero_index == h - 1
+    assert f.lam[h - 1] == 0.0
+    assert np.all(np.diff(f.lam[h:]) > 0) and np.all(f.lam[h:] < 0.0)
     # kernel column is the exact normalized constant vector
     assert np.array_equal(f.P[:, f.zero_index], np.full(N, N**-0.5))
     # the kernel vector's raw Rayleigh quotient is recorded, tiny but not erased
@@ -60,22 +62,23 @@ def test_eigenvectors_are_exactly_even_or_odd(N):
     h = (N + 1) // 2
     assert f.P_even.shape == f.Pinv_even.shape == (h, h)
     assert f.P_odd.shape == f.Pinv_odd.shape == (N - h, N - h)
-    assert np.count_nonzero(f.even) == h and f.even[f.zero_index]
-    sign = np.where(f.even, 1.0, -1.0)
     P, Pinv = f.P, f.Pinv
-    # bitwise mirror copies: P[N-1-i, k] == +-P[i, k], Pinv[k, N-1-j] == +-Pinv[k, j]
-    assert np.array_equal(P[::-1], P * sign)
-    assert np.array_equal(Pinv[:, ::-1], Pinv * sign[:, None])
+    # the first h modes are even, the rest odd, all bitwise mirror copies:
+    # P[N-1-i, k] == +-P[i, k], Pinv[k, N-1-j] == +-Pinv[k, j]
+    assert np.array_equal(P[::-1, :h], P[:, :h])
+    assert np.array_equal(P[::-1, h:], -P[:, h:])
+    assert np.array_equal(Pinv[:h, ::-1], Pinv[:h])
+    assert np.array_equal(Pinv[h:, ::-1], -Pinv[h:])
     if N % 2:
-        assert np.all(P[h - 1, ~f.even] == 0.0) and np.all(Pinv[~f.even, h - 1] == 0.0)
+        assert np.all(P[h - 1, h:] == 0.0) and np.all(Pinv[h:, h - 1] == 0.0)
 
 
 @pytest.mark.parametrize("N", [2, 3, 8, 9])
-def test_rows_are_the_grouped_rows_of_the_dense_matrix(N):
+def test_rows_are_the_rows_of_the_dense_matrix(N):
     f = factorize(make_grid(N, 1.0))
     i = np.arange(N)
-    assert np.array_equal(f.rows(i), f.P[:, f.grouped])
-    assert np.array_equal(f.rows(N - 1), f.P[N - 1, f.grouped])
+    assert np.array_equal(f.rows(i), f.P[i])
+    assert np.array_equal(f.rows(N - 1), f.P[N - 1])
 
 
 def test_factorization_is_deterministic():
@@ -89,7 +92,7 @@ def test_factorization_is_deterministic():
 
 def test_factor_arrays_are_read_only():
     f = factorize(make_grid(8, 1.0))
-    for arr in (f.P, f.Pinv, f.lam, f.P_even, f.P_odd, f.Pinv_even, f.Pinv_odd, f.even, f.grouped):
+    for arr in (f.P, f.Pinv, f.lam, f.P_even, f.P_odd, f.Pinv_even, f.Pinv_odd):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -123,7 +126,7 @@ def test_odd_half_is_solved_once_on_first_access(N, monkeypatch):
     # every paired row stands for itself and its mirror image
     m = N // 2
     assert np.max(np.abs(2.0 * Pinv_odd @ P_odd - np.eye(m))) <= 1e-12
-    stored = f.lam[~f.even]
+    stored = f.lam[(N + 1) // 2:]
     assert np.max(np.abs(calls[1] - stored)) <= 1e-13 * np.max(np.abs(stored))
 
 

@@ -29,7 +29,6 @@ from fracspec import (
     radius_squared,
     to_eigenbasis,
 )
-from fracspec.fraclap import _from_grouped, _to_grouped
 from fracspec.tensor_ops import mirror_axes
 
 
@@ -58,7 +57,6 @@ def toy_factor(lam):
         N=n,
         P_even=np.eye(h),
         Pinv_even=np.diag(np.where(np.arange(h) < m, 0.5, 1.0)),
-        even=np.arange(n) < h,
         lam=lam,
         zero_index=int(np.argmin(np.abs(lam))),
         raw_zero_lambda=0.0,
@@ -128,13 +126,12 @@ def test_power_tensor_is_read_only():
     (lambda factors, scales: build_fraclap(factors, scales, 0.4), 0.4),
     (lambda factors, scales: build_fracplap(factors, scales, 0.4, 1.7), 0.5 * 0.4 * 1.7),
 ])
-def test_power_tensor_is_built_in_grouped_mode_order(build, order):
+def test_power_tensor_is_built_from_the_factor_spectra(build, order):
     factors, scales = build_axis_factors((9, 12)), (2.0, 3.0)
     op = build(factors, scales)
-    natural = hadamard_pow_neg(eigen_sum_tensor([f.lam for f in factors], scales), order)
-    assert np.array_equal(op.pow_tensor, natural)
-    assert np.array_equal(op.grouped_pow, natural[np.ix_(*(f.grouped for f in factors))])
-    assert not op.grouped_pow.flags.writeable
+    want = hadamard_pow_neg(eigen_sum_tensor([f.lam for f in factors], scales), order)
+    assert np.array_equal(op.pow_tensor, want)
+    assert not op.pow_tensor.flags.writeable
 
 
 def test_build_axis_factors_shapes():
@@ -166,6 +163,15 @@ def test_eigenbasis_transport_matches_dense_products(dims):
         from_dense = mode_product(f.P, from_dense, axis)
     for got, want in ((to_eigenbasis(factors, U), to_dense), (from_eigenbasis(factors, U), from_dense)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dims", [(8,), (6, 7), (3, 4, 5)])
+def test_from_eigenbasis_leaves_its_argument_unchanged(dims):
+    factors = build_axis_factors(dims)
+    C = np.random.default_rng(4).standard_normal(dims)
+    before = C.copy()
+    from_eigenbasis(factors, C)
+    assert np.array_equal(C, before)
 
 
 def test_constant_field_lands_on_the_kernel_mode():
@@ -243,9 +249,8 @@ def test_apply_without_symmetry_runs_both_halves_on_every_axis(dims):
     op = build_fraclap(build_axis_factors(dims), [2.0] * len(dims), 0.4)
     U = np.random.default_rng(2).standard_normal(dims)
     assert not any(mirror_axes(U))
-    tilde = _to_grouped(op.factors, U)
-    tilde *= op.grouped_pow
-    assert np.array_equal(apply_fraclap(op, U), _from_grouped(op.factors, tilde))
+    tilde = to_eigenbasis(op.factors, U) * op.pow_tensor
+    assert np.array_equal(apply_fraclap(op, U), from_eigenbasis(op.factors, tilde))
 
 
 def test_mirrored_plane_costs_a_quarter_of_the_mode_product_work(monkeypatch):

@@ -142,14 +142,15 @@ def test_constant_validates_parameters():
 
 
 def test_build_power_tensor_uses_half_sp_order():
-    lam = np.array([-4.0, 0.0])
+    # the even mode is the kernel, the odd one has eigenvalue -4
+    lam = np.array([0.0, -4.0])
     f = SpectralFactor(
-        N=2, P_even=np.eye(1), Pinv_even=np.full((1, 1), 0.5), even=np.array([False, True]),
-        lam=lam, zero_index=1, raw_zero_lambda=0.0,
+        N=2, P_even=np.eye(1), Pinv_even=np.full((1, 1), 0.5),
+        lam=lam, zero_index=0, raw_zero_lambda=0.0,
     )
     op = build_fracplap([f], [1.0], 0.5, 2.0)
     # order s*p/2 = 0.5, so (-(-4))**0.5 = 2
-    assert np.array_equal(op.pow_tensor, np.array([2.0, 0.0]))
+    assert np.array_equal(op.pow_tensor, np.array([0.0, 2.0]))
     assert op.c_const == pytest.approx(-1.0, abs=1e-14)
 
 

@@ -120,9 +120,9 @@ def _config(**values):
 ], ids=["make_grid", "differentiate", "lorentzian_field", "config-L", "config-dt", "config-t_end",
         "rk4_step", "hadamard_pow_neg", "exact_fraclap_algebraic", "hyp1f1", "hyp2f1"])
 def test_positive_rule_is_one_rule_at_every_entry(name, entry):
-    # checks.checked_positive: one test, one message, NaN refused
-    for bad in (0.0, -1.5, float("nan")):
-        with pytest.raises(ValueError, match=re.escape(f"{name} must be positive, got {bad!r}")):
+    # checks.checked_positive: one test, one message, NaN and infinities refused
+    for bad in (0.0, -1.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite, got {bad!r}")):
             entry(bad)
     entry(np.float64(0.5))
 
