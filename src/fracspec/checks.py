@@ -20,8 +20,10 @@ def checked_order(s: float) -> float:
 
 
 def checked_exponent(p: float) -> float:
-    """The p-Laplacian exponent p as a float, p >= 1."""
+    """The p-Laplacian exponent p as a finite float, p >= 1."""
     p = float(p)
+    if not math.isfinite(p):  # inf passes p >= 1
+        raise ValueError(f"p must be finite, got {p!r}")
     if not p >= 1:
         raise ValueError(f"p must be at least 1, got {p!r}")
     return p

@@ -8,13 +8,16 @@ With sigma = sin(xi), even under the reflection, the similarity
 ``diag(1/g) B diag(g)`` of each block B is symmetric up to rounding, because
 ``W Dxx`` is for the quadrature weights ``W = diag(1/sigma^2)``; here g is
 sigma on the top rows, times sqrt(2) on a middle row that the even fold
-counts once.  Each similarity is symmetrized explicitly.  The kernel of the
-even one is known exactly, the unit vector ``z`` proportional to ``1/g``,
-because ``Dxx`` maps constants to zero.  A Householder reflector that sends
-``z`` onto the first coordinate axis deflates that mode, and a symmetric
-eigensolve of each of the remaining ``(h-1)x(h-1)`` and ``m x m`` blocks
-gives the strictly negative rest of the spectrum; the odd block's
-eigenvectors wait for an unmirrored axis, which no built-in field has.
+counts once.  The kernel of the even similarity, symmetrized explicitly,
+is known exactly, the unit vector ``z`` proportional to ``1/g``, because
+``Dxx`` maps constants to zero.  A Householder reflector that sends ``z``
+onto the first coordinate axis deflates that mode, and a symmetric
+eigensolve of the remaining ``(h-1)x(h-1)`` block gives the strictly
+negative rest of the even spectrum.  That is all ``factorize`` solves: a
+mirror-symmetric field reads only the even modes, and no built-in field
+is otherwise.  The odd block, symmetrized the same way, waits for the first
+read of anything odd, then one ``eigh`` gives its eigenvalues and
+eigenvectors together.
 The kernel eigenvalue is then an exact 0 with the exact constant
 eigenvector, the eigenvectors are orthogonal up to the diagonal similarity,
 and the inverse needs no solve: the kernel row of ``Pinv`` is the
@@ -43,14 +46,15 @@ class SpectralFactor:
     The modes are held even ones first: with h = ceil(N/2) and
     m = floor(N/2), columns 0..h-1 of ``P`` and rows 0..h-1 of ``Pinv`` are
     mirror-even and the last m are mirror-odd.  ``lam`` is real by
-    construction, each block ascending: the even block ends with the exact
-    kernel 0 at ``zero_index`` = h-1, and every other entry is strictly
-    negative.  Only the square half blocks are stored: ``P_even`` and
-    ``P_odd`` are the top h and m rows of the even and odd columns of ``P``,
-    ``Pinv_even`` and ``Pinv_odd`` the left h and m columns of the even and
-    odd rows of ``Pinv``.  A mirror-symmetric field reads only the even
-    blocks, so the odd ``lam`` come from an eigenvalue-only solve and
-    ``P_odd``, ``Pinv_odd`` from one ``eigh`` on first access, then kept.
+    construction, each block ascending: ``lam_even``, its first h entries,
+    ends with the exact kernel 0 at ``zero_index`` = h-1, and every other
+    entry is strictly negative.  Only the square half blocks are stored:
+    ``P_even`` and ``P_odd`` are the top h and m rows of the even and odd
+    columns of ``P``, ``Pinv_even`` and ``Pinv_odd`` the left h and m
+    columns of the even and odd rows of ``Pinv``.  A mirror-symmetric field
+    reads only the even blocks, so the factor holds those alone; the odd
+    block is solved by one ``eigh`` the first time ``lam_odd``, ``lam``,
+    ``P_odd``, ``Pinv_odd`` or anything built on them is read, then kept.
     ``P`` and ``Pinv`` rebuild the dense matrices, whose bottom halves are
     exact mirror copies, ``P[N-1-i, k] == +-P[i, k]``, and ``rows`` reads
     rows of ``P`` from the half blocks alone.
@@ -65,21 +69,35 @@ class SpectralFactor:
     N: int
     P_even: np.ndarray
     Pinv_even: np.ndarray
-    lam: np.ndarray
+    lam_even: np.ndarray
     zero_index: int
     raw_zero_lambda: float
 
     @cached_property
-    def _odd(self) -> tuple[np.ndarray, np.ndarray]:
+    def _odd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``lam_odd``, ``P_odd``, ``Pinv_odd`` and ``P_odd`` under h - m zero rows, from one ``eigh``."""
         # the factor depends only on N, so the odd block is assembled again
-        _, S, g, mult = _folded_blocks(make_grid(self.N, 1.0))
-        m = self.N // 2
-        P, Pinv = _unit_columns(np.linalg.eigh(S)[1], g[:m], mult[:m])
-        P.flags.writeable = Pinv.flags.writeable = False
-        return P, Pinv
+        folded, g, mult = _folded_rows(make_grid(self.N, 1.0))
+        h, m = len(g), self.N // 2
+        lam, Q = np.linalg.eigh(_symmetric_block(folded[:m, h:], g[:m]))
+        _check_negative(lam)
+        P, Pinv = _unit_columns(Q, g[:m], mult[:m])
+        padded = np.zeros((h, m))
+        padded[:m] = P
+        for a in (lam, padded, Pinv):
+            a.flags.writeable = False
+        return lam, padded[:m], Pinv, padded
 
-    P_odd = property(lambda self: self._odd[0])
-    Pinv_odd = property(lambda self: self._odd[1])
+    lam_odd = property(lambda self: self._odd[0])
+    P_odd = property(lambda self: self._odd[1])
+    Pinv_odd = property(lambda self: self._odd[2])
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Read-only spectrum in mode order, ``lam_even`` then ``lam_odd``."""
+        lam = np.concatenate([self.lam_even, self.lam_odd])
+        lam.flags.writeable = False
+        return lam
 
     @property
     def P(self) -> np.ndarray:
@@ -103,9 +121,15 @@ class SpectralFactor:
         """Rows ``i`` of ``P``, ``P[i]``, read from the half blocks."""
         i = np.asarray(i)
         top = np.minimum(i, self.N - 1 - i)
-        h, m = len(self.P_even), len(self.P_odd)
-        odd = np.vstack([self.P_odd, np.zeros((h - m, m))])[top]
+        odd = self._odd[3][top]
         return np.concatenate([self.P_even[top], np.where(i == top, 1.0, -1.0)[..., None] * odd], -1)
+
+
+def _check_negative(lam: np.ndarray) -> None:
+    if np.any(lam >= 0.0):
+        raise PositiveEigenvalue(
+            f"eigenvalue {float(np.max(lam)):.6e} outside the kernel is not negative"
+        )
 
 
 def _symmetric_block(B: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -113,16 +137,19 @@ def _symmetric_block(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _folded_blocks(grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The even block E of ``Dxx``, the symmetrized odd block, the similarity g and the row weights."""
+def _folded_rows(grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top h rows of ``Dxx`` folded by parity, the similarity g and the row weights.
+
+    The even block of ``Dxx`` is the top-left h x h of the folded rows, the
+    odd block their top-right m x m.
+    """
     h, m = (grid.N + 1) // 2, grid.N // 2
-    # the top h rows of Dxx hold both blocks: the even fold on the left, the odd one on the right
     folded = parity_fold(top_diff_rows(grid)[1], 1)
     # mirror-extended rows i < m count twice in a norm, a middle row once
     mult = np.full(h, 2.0)
     mult[m:] = 1.0
     g = np.sin(grid.xi[:h]) * np.sqrt(2.0 / mult)
-    return folded[:h, :h], _symmetric_block(folded[:m, h:], g[:m]), g, mult
+    return folded, g, mult
 
 
 def _unit_columns(Q: np.ndarray, g: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,17 +161,19 @@ def _unit_columns(Q: np.ndarray, g: np.ndarray, mult: np.ndarray) -> tuple[np.nd
 
 
 def factorize(grid: Grid1D) -> SpectralFactor:
-    """Diagonalize the grid's second-derivative matrix by parity, kernel deflated.
+    """Diagonalize the even block of the grid's second-derivative matrix, kernel deflated.
+
+    The odd block is left to the factor's first odd read.
 
     Raises
     ------
     PositiveEigenvalue
-        if an eigenvalue outside the kernel mode is not strictly negative.
+        if an even eigenvalue outside the kernel mode is not strictly negative.
     """
     n = grid.N
     h = (n + 1) // 2
-    E, S_odd, g, mult = _folded_blocks(grid)
-    S = _symmetric_block(E, g)
+    folded, g, mult = _folded_rows(grid)
+    S = _symmetric_block(folded[:, :h], g)
     z = 1.0 / g
     z /= np.linalg.norm(z)
     # H = I - 2 u u^T maps z to -e_0; H S H = S - u k^T - k u^T, in place
@@ -156,11 +185,7 @@ def factorize(grid: Grid1D) -> SpectralFactor:
     S -= np.outer(u, k)
     S -= np.outer(k, u)
     lam_e, Qp = np.linalg.eigh(S[1:, 1:])
-    lam_rest = np.concatenate([lam_e, np.linalg.eigvalsh(S_odd)])
-    if np.any(lam_rest >= 0.0):
-        raise PositiveEigenvalue(
-            f"eigenvalue {float(np.max(lam_rest)):.6e} outside the kernel is not negative"
-        )
+    _check_negative(lam_e)
     # eigenvectors of the even block: H applied to [0; Qp], then the kernel vector z
     Q_e = np.empty((h, h))
     Q_e[1:, :-1] = Qp
@@ -169,11 +194,11 @@ def factorize(grid: Grid1D) -> SpectralFactor:
     Q_e[:, -1] = z
     P_even, Pinv_even = _unit_columns(Q_e, g, mult)
     P_even[:, -1] = n ** -0.5  # g * z normalized, without its rounding
-    lam = np.insert(lam_rest, h - 1, 0.0)  # the kernel ends the even block
-    for a in (P_even, Pinv_even, lam):
+    lam_even = np.append(lam_e, 0.0)  # the kernel ends the even block
+    for a in (P_even, Pinv_even, lam_even):
         a.flags.writeable = False
     return SpectralFactor(
-        N=n, P_even=P_even, Pinv_even=Pinv_even, lam=lam,
+        N=n, P_even=P_even, Pinv_even=Pinv_even, lam_even=lam_even,
         zero_index=h - 1, raw_zero_lambda=float(S[0, 0]),
     )
 

@@ -24,6 +24,7 @@ a quarter of the mode-product work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,19 +40,26 @@ from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mode_product, on_mir
 class FracLapOperator:
     """Immutable fractional Laplacian of order ``s`` on a fixed grid.
 
-    ``pow_tensor`` caches the read-only entrywise ``s`` power of the negated
-    eigenvalue-sum tensor, scale division included, so repeated applies
-    cost only mode products.
+    ``pow_even`` holds the read-only entrywise ``s`` power of the negated
+    eigenvalue-sum tensor, scale division included, on the even modes of
+    every axis, the only block a mirror-symmetric field reads, so repeated
+    applies cost only mode products.  ``pow_tensor``, over all modes, is
+    built the first time a field without that symmetry reads it, then kept;
+    ``pow_even`` is its leading block.
     """
 
     factors: tuple[SpectralFactor, ...]
     scales: tuple[float, ...]
     s: float
-    pow_tensor: np.ndarray
+    pow_even: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.N for f in self.factors)
+
+    @cached_property
+    def pow_tensor(self) -> np.ndarray:
+        return _power_tensor([f.lam for f in self.factors], self.scales, self.s)
 
 
 def build_axis_factors(dims: Sequence[int]) -> tuple[SpectralFactor, ...]:
@@ -63,17 +71,19 @@ def build_axis_factors(dims: Sequence[int]) -> tuple[SpectralFactor, ...]:
     return tuple(factorize(make_grid(int(N), 1.0)) for N in dims)
 
 
-def _power_tensor(
-    factors: Sequence[SpectralFactor],
-    scales: Sequence[float],
-    order: float,
-) -> np.ndarray:
-    """Read-only entrywise ``order`` power of the negated eigenvalue sums.
+def _power_tensor(lambdas: Sequence[np.ndarray], scales: Sequence[float], order: float) -> np.ndarray:
+    """Read-only entrywise ``order`` power of the negated eigenvalue sums, zero on exactly one mode.
 
     ``eigen_sum_tensor`` refuses an empty axis list, a factor/scale count
-    mismatch and a nonpositive scale.
+    mismatch and a nonpositive scale, and ``hadamard_pow_neg`` a positive
+    sum; more or fewer than one zero raises ``NumericalContractError``.
     """
-    pow_tensor = hadamard_pow_neg(eigen_sum_tensor([f.lam for f in factors], scales), order)
+    pow_tensor = hadamard_pow_neg(eigen_sum_tensor(lambdas, scales), order)
+    zeros = int(np.count_nonzero(pow_tensor == 0.0))
+    if zeros != 1:
+        raise NumericalContractError(
+            f"power tensor must vanish on exactly one mode, found {zeros}"
+        )
     pow_tensor.flags.writeable = False
     return pow_tensor
 
@@ -87,13 +97,8 @@ def build_fraclap(
     s = checked_order(s)
     factors = tuple(factors)
     scales = tuple(float(L) for L in scales)
-    pow_tensor = _power_tensor(factors, scales, s)
-    zeros = int(np.count_nonzero(pow_tensor == 0.0))
-    if zeros != 1:
-        raise NumericalContractError(
-            f"power tensor must vanish on exactly one mode, found {zeros}"
-        )
-    return FracLapOperator(factors=factors, scales=scales, s=s, pow_tensor=pow_tensor)
+    pow_even = _power_tensor([f.lam_even for f in factors], scales, s)
+    return FracLapOperator(factors=factors, scales=scales, s=s, pow_even=pow_even)
 
 
 def _half_products(
@@ -161,7 +166,9 @@ def apply_fraclap(op: FracLapOperator, U: np.ndarray) -> np.ndarray:
 
     Along every axis where U equals its reflection only the even blocks
     run, on the top ceil(N/2) rows (``on_mirror_half``), and the output
-    equals its reflection there exactly: its bottom rows are copies.
+    equals its reflection there exactly: its bottom rows are copies.  A
+    field mirrored along every axis reads ``pow_even`` alone; any other
+    reads a slice of ``pow_tensor``, built on the first such apply.
     """
 
     def on_half(V: np.ndarray, mirrored: tuple[bool, ...]) -> np.ndarray:
@@ -170,7 +177,7 @@ def apply_fraclap(op: FracLapOperator, U: np.ndarray) -> np.ndarray:
         for axis in (axis for axis, m in enumerate(mirrored) if m):
             V[(slice(None),) * axis + (slice(op.shape[axis] // 2),)] *= 2.0
         tilde = _to_modes(op.factors, V, mirrored)
-        tilde *= op.pow_tensor[tuple(slice(h) for h in V.shape)]
+        tilde *= op.pow_even if all(mirrored) else op.pow_tensor[tuple(slice(h) for h in V.shape)]
         return _from_modes(op.factors, tilde, mirrored)
 
     return on_mirror_half(on_half, checked_field(U, op.shape))

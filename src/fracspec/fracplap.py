@@ -57,21 +57,29 @@ GROUPS = ("none", "mirror", "mirror+swap")
 class FracPOperator:
     """Immutable fractional p-Laplacian of order s, exponent p.
 
-    ``pow_tensor`` caches the read-only entrywise s*p/2 power of the negated
-    eigenvalue-sum tensor (scale division included); ``c_const`` is the
-    closed-form constant multiplying every pointwise evaluation.
+    ``pow_even`` holds the read-only entrywise s*p/2 power of the negated
+    eigenvalue-sum tensor (scale division included) on the even modes of
+    every axis, all the mirror-folded kernels read; ``pow_tensor``, over all
+    modes, is built for the trivial group and ``apply_plap_pointwise`` when
+    first read, then kept, with ``pow_even`` as its leading block.
+    ``c_const`` is the closed-form constant multiplying every pointwise
+    evaluation.
     """
 
     factors: tuple[SpectralFactor, ...]
     scales: tuple[float, ...]
     s: float
     p: float
-    pow_tensor: np.ndarray
+    pow_even: np.ndarray
     c_const: float
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.N for f in self.factors)
+
+    @cached_property
+    def pow_tensor(self) -> np.ndarray:
+        return _power_tensor([f.lam for f in self.factors], self.scales, 0.5 * self.s * self.p)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -231,7 +239,7 @@ def build_fracplap(
         scales=scales,
         s=s,
         p=p,
-        pow_tensor=_power_tensor(factors, scales, 0.5 * s * p),
+        pow_even=_power_tensor([f.lam_even for f in factors], scales, 0.5 * s * p),
         c_const=plap_constant(len(factors), s, p),
     )
 
@@ -280,13 +288,13 @@ def _kernel_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndar
     idx = np.unravel_index(reps, op.shape, order="F")
     mirrored = orbits.group != "none"
     # the mirror column sums keep the even modes on the top half of every axis
-    side = tuple((N + 1) // 2 for N in op.shape) if mirrored else op.shape
+    power = op.pow_even if mirrored else op.pow_tensor
+    side = power.shape
     # grid axes reversed after the row axis, so the rows come out column-major flat
     dims = (b - a,) + side[::-1]
     G = np.empty(dims) if orbits.group == "mirror+swap" else out.reshape(dims)
     work = np.empty_like(G)
-    np.multiply((op.c_const * orbits.mult[a:b] * op.weights[reps]).reshape(-1, *(1,) * n),
-                op.pow_tensor[tuple(map(slice, side))].T, out=G)
+    np.multiply((op.c_const * orbits.mult[a:b] * op.weights[reps]).reshape(-1, *(1,) * n), power.T, out=G)
     for k, (f, i) in enumerate(zip(op.factors, idx)):
         axis = n - k
         shape = [b - a] + [1] * n

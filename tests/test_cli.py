@@ -235,9 +235,10 @@ def test_fraclap_rejects_unknown_field(tmp_path):
         (("fraclap", "--s", "0.5", "--field", "nope"), "unknown field"),
         (("fracplap", "--s", "1.5", "--p", "2"), "s must lie"),
         (("fracplap", "--s", "0.5", "--p", "0.5"), "p must be"),
+        (("fracplap", "--s", "0.5", "--p", "inf"), "p must be finite"),
         (("fracplap", "--s", "0.5", "--p", "2", "--field", "nope"), "unknown field"),
     ],
-    ids=["fraclap-s", "fraclap-field", "fracplap-s", "fracplap-p", "fracplap-field"],
+    ids=["fraclap-s", "fraclap-field", "fracplap-s", "fracplap-p", "fracplap-p-inf", "fracplap-field"],
 )
 def test_bad_parameters_are_refused_before_factorization(tmp_path, monkeypatch, capsys,
                                                          argv, match):

@@ -98,7 +98,7 @@ def test_factor_arrays_are_read_only():
 
 
 def _recorded_eigh(monkeypatch):
-    """Patch ``np.linalg.eigh`` to record the eigenvalues of every call."""
+    """Patch ``np.linalg.eigh`` to record the eigenvalues of every call, ``eigvalsh`` to fail."""
     real_eigh = np.linalg.eigh
     calls = []
 
@@ -107,7 +107,11 @@ def _recorded_eigh(monkeypatch):
         calls.append(lam)
         return lam, vecs
 
+    def no_eigvalsh(a):
+        raise AssertionError("an eigenvalue-only solve ran")
+
     monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     return calls
 
 
@@ -126,8 +130,11 @@ def test_odd_half_is_solved_once_on_first_access(N, monkeypatch):
     # every paired row stands for itself and its mirror image
     m = N // 2
     assert np.max(np.abs(2.0 * Pinv_odd @ P_odd - np.eye(m))) <= 1e-12
-    stored = f.lam[(N + 1) // 2:]
-    assert np.max(np.abs(calls[1] - stored)) <= 1e-13 * np.max(np.abs(stored))
+    # the odd spectrum is that solve's eigenvalues, bit for bit
+    assert f.lam_odd is calls[1]
+    assert np.array_equal(f.lam[(N + 1) // 2:], calls[1])
+    assert np.array_equal(f.lam[:(N + 1) // 2], f.lam_even)
+    assert len(calls) == 2
 
 
 def test_mirror_symmetric_runs_solve_only_the_even_blocks(monkeypatch):
@@ -147,17 +154,46 @@ def test_mirror_symmetric_runs_solve_only_the_even_blocks(monkeypatch):
     assert len(calls) == 5
 
 
-def test_positive_odd_eigenvalue_is_rejected(monkeypatch):
-    real_eigvalsh = np.linalg.eigvalsh
+EVOLVE_CFG = "n = 2\ns = 0.6\np = 1.8\nN = 9\nL = 2.0\ndt = 0.01\nt_end = 0.02\nsnapshot_times = 0.02\n"
 
-    def fake(a):
-        lam = real_eigvalsh(a)
-        lam[-1] = 1e-17
-        return lam
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+@pytest.mark.parametrize("command, mirrored", [
+    (["fraclap", "--dims", "8,9", "--scales", "2,2.5", "--s", "0.4"], True),
+    (["fraclap", "--dims", "8,9", "--scales", "2,2.5", "--s", "0.4", "--field", "lorentzian"], True),
+    (["fracplap", "--dims", "8,9", "--scales", "2,2.5", "--s", "0.4", "--p", "1.7"], True),
+    (["fraclap", "--dims", "8,9", "--scales", "2,2.5", "--s", "0.4", "--field", "csv:"], False),
+    (["fracplap", "--dims", "8,9", "--scales", "2,2.5", "--s", "0.4", "--p", "1.7", "--field", "csv:"], False),
+], ids=["fraclap", "fraclap-lorentzian", "fracplap", "fraclap-csv", "fracplap-csv"])
+def test_commands_solve_one_even_block_per_axis_and_odd_ones_only_when_read(
+        tmp_path, monkeypatch, command, mirrored):
+    """In-process: built-in fields solve one eigh per axis, an asymmetric field one more per axis."""
+    from fracspec import cli, write_field_csv
+
+    if command[-1] == "csv:":
+        write_field_csv(tmp_path / "in.csv", np.random.default_rng(1).standard_normal((8, 9)))
+        command = command[:-1] + [f"csv:{tmp_path / 'in.csv'}"]
+    calls = _recorded_eigh(monkeypatch)
+    assert cli.main([*command, "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == (2 if mirrored else 4)
+
+
+def test_evolve_solves_one_even_block(tmp_path, monkeypatch):
+    from fracspec import cli
+
+    (tmp_path / "run.cfg").write_text(EVOLVE_CFG)
+    calls = _recorded_eigh(monkeypatch)
+    assert cli.main(["evolve", "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path)]) == 0
+    # both axes share one factor of the line
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["lam", "lam_odd", "P_odd", "Pinv_odd"])
+def test_positive_odd_eigenvalue_is_rejected(name, monkeypatch):
+    # the odd block is solved on its first read, and checked before any of it is returned
+    f = factorize(make_grid(16, 1.0))
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_with_last_eigenvalue(1e-17))
     with pytest.raises(PositiveEigenvalue):
-        factorize(make_grid(16, 1.0))
+        getattr(f, name)
 
 
 def _eigh_with_last_eigenvalue(value):

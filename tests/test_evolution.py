@@ -88,6 +88,11 @@ def test_config_validates_every_field(field, value):
         small_config(**{field: value})
 
 
+def test_config_refuses_an_infinite_exponent():
+    with pytest.raises(ValueError, match="p must be finite"):
+        small_config(p=math.inf)
+
+
 # ----------------------------------------------------------------------------
 # quad_mass
 # ----------------------------------------------------------------------------

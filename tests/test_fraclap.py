@@ -10,7 +10,6 @@ import fracspec.fraclap
 from fracspec import (
     NumericalContractError,
     PositiveEntry,
-    SpectralFactor,
     apply_fraclap,
     build_axis_factors,
     build_diff_matrices,
@@ -30,37 +29,7 @@ from fracspec import (
     to_eigenbasis,
 )
 from fracspec.tensor_ops import mirror_axes
-
-
-class ToyFactor(SpectralFactor):
-    """A factor whose odd half blocks are given, not solved for: identities and halves."""
-
-    @property
-    def P_odd(self):
-        return np.eye(self.N // 2)
-
-    @property
-    def Pinv_odd(self):
-        return 0.5 * np.eye(self.N // 2)
-
-
-def toy_factor(lam):
-    """Stand-in factor on the mirror pairs e_i +- e_(N-1-i), spectrum given directly.
-
-    The first ceil(N/2) mode positions are even.  P's half blocks are
-    identities, so Pinv's halve the paired rows; a middle row counts once.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    h, m = (n + 1) // 2, n // 2
-    return ToyFactor(
-        N=n,
-        P_even=np.eye(h),
-        Pinv_even=np.diag(np.where(np.arange(h) < m, 0.5, 1.0)),
-        lam=lam,
-        zero_index=int(np.argmin(np.abs(lam))),
-        raw_zero_lambda=0.0,
-    )
+from toys import toy_factor
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -75,63 +44,88 @@ def test_toy_factor_is_a_factorization(n):
 
 
 def test_power_tensor_unit_scale():
-    op = build_fraclap([toy_factor([-1.0, 0.0])], [1.0], 0.5)
-    assert np.array_equal(op.pow_tensor, np.array([1.0, 0.0]))
+    op = build_fraclap([toy_factor([0.0, -1.0])], [1.0], 0.5)
+    assert np.array_equal(op.pow_tensor, np.array([0.0, 1.0]))
 
 
 def test_power_tensor_scale_divides_before_power():
     # (-(-4)/2**2)**0.5 = 1
-    op = build_fraclap([toy_factor([-4.0, 0.0])], [2.0], 0.5)
-    assert np.array_equal(op.pow_tensor, np.array([1.0, 0.0]))
+    op = build_fraclap([toy_factor([0.0, -4.0])], [2.0], 0.5)
+    assert np.array_equal(op.pow_tensor, np.array([0.0, 1.0]))
 
 
 def test_power_tensor_two_axes():
-    op = build_fraclap([toy_factor([-1.0, 0.0]), toy_factor([-3.0, 0.0])], [1.0, 1.0], 0.5)
+    op = build_fraclap([toy_factor([0.0, -1.0]), toy_factor([0.0, -3.0])], [1.0, 1.0], 0.5)
     assert op.shape == (2, 2)
-    assert op.pow_tensor[1, 1] == 0.0
-    assert op.pow_tensor[0, 1] == 1.0
-    assert op.pow_tensor[1, 0] == pytest.approx(np.sqrt(3.0), rel=1e-15)
+    assert op.pow_tensor[0, 0] == 0.0
+    assert op.pow_tensor[1, 0] == 1.0
+    assert op.pow_tensor[0, 1] == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, -0.2, 1.3])
 def test_order_outside_open_interval_rejected(s):
     with pytest.raises(ValueError):
-        build_fraclap([toy_factor([-1.0, 0.0])], [1.0], s)
+        build_fraclap([toy_factor([0.0, -1.0])], [1.0], s)
 
 
 def test_multiple_zero_modes_rejected():
+    # the second zero is an odd mode, so it surfaces when the odd modes are first read
+    op = build_fraclap([toy_factor([-1.0, 0.0, 0.0])], [1.0], 0.5)
     with pytest.raises(NumericalContractError, match="exactly one mode, found 2"):
-        build_fraclap([toy_factor([-1.0, 0.0, 0.0])], [1.0], 0.5)
+        op.pow_tensor
+
+
+def test_multiple_even_zero_modes_rejected_at_build():
+    with pytest.raises(NumericalContractError, match="exactly one mode, found 2"):
+        build_fraclap([toy_factor([0.0, 0.0, -1.0])], [1.0], 0.5)
 
 
 def test_positive_eigenvalue_entry_propagates():
     with pytest.raises(PositiveEntry):
         build_fraclap([toy_factor([1.0, 0.0])], [1.0], 0.5)
+    # a positive odd eigenvalue surfaces when the odd modes are first read
+    op = build_fraclap([toy_factor([0.0, 1.0])], [1.0], 0.5)
+    with pytest.raises(PositiveEntry):
+        op.pow_tensor
 
 
 def test_build_validates_lengths_and_scales():
     with pytest.raises(ValueError):
-        build_fraclap([toy_factor([-1.0, 0.0])], [1.0, 2.0], 0.5)
+        build_fraclap([toy_factor([0.0, -1.0])], [1.0, 2.0], 0.5)
     with pytest.raises(ValueError):
-        build_fraclap([toy_factor([-1.0, 0.0])], [-1.0], 0.5)
+        build_fraclap([toy_factor([0.0, -1.0])], [-1.0], 0.5)
 
 
 def test_power_tensor_is_read_only():
-    op = build_fraclap([toy_factor([-1.0, 0.0])], [1.0], 0.5)
-    with pytest.raises(ValueError):
-        op.pow_tensor[0] = 5.0
+    op = build_fraclap([toy_factor([0.0, -1.0])], [1.0], 0.5)
+    for power in (op.pow_even, op.pow_tensor):
+        with pytest.raises(ValueError):
+            power[0] = 5.0
 
 
-@pytest.mark.parametrize("build, order", [
+BUILDS = [
     (lambda factors, scales: build_fraclap(factors, scales, 0.4), 0.4),
     (lambda factors, scales: build_fracplap(factors, scales, 0.4, 1.7), 0.5 * 0.4 * 1.7),
-])
+]
+
+
+@pytest.mark.parametrize("build, order", BUILDS)
 def test_power_tensor_is_built_from_the_factor_spectra(build, order):
     factors, scales = build_axis_factors((9, 12)), (2.0, 3.0)
     op = build(factors, scales)
     want = hadamard_pow_neg(eigen_sum_tensor([f.lam for f in factors], scales), order)
     assert np.array_equal(op.pow_tensor, want)
     assert not op.pow_tensor.flags.writeable
+
+
+@pytest.mark.parametrize("build, order", BUILDS)
+@pytest.mark.parametrize("dims", [(8,), (9,), (8, 9), (9, 8), (9, 9), (6, 7, 8), (7, 7, 7)])
+def test_even_power_block_is_the_leading_block_of_the_power_tensor(build, order, dims):
+    op = build(build_axis_factors(dims), [2.0 + 0.5 * k for k in range(len(dims))])
+    assert "pow_tensor" not in op.__dict__
+    assert op.pow_even.shape == tuple((N + 1) // 2 for N in dims)
+    assert not op.pow_even.flags.writeable
+    assert np.array_equal(op.pow_even, op.pow_tensor[tuple(slice(h) for h in op.pow_even.shape)])
 
 
 def test_build_axis_factors_shapes():
@@ -242,6 +236,19 @@ def test_folded_apply_matches_the_general_transport(dims):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), np.max(np.abs(U)))
         for axis in np.flatnonzero(mask):
             assert np.array_equal(got, np.flip(got, axis))
+
+
+@pytest.mark.parametrize("dims", [(16,), (17,), (16, 17), (3, 4, 5)])
+def test_only_a_field_with_an_unmirrored_axis_builds_the_full_power_tensor(dims):
+    op = build_fraclap(build_axis_factors(dims), [2.0] * len(dims), 0.4)
+    rng = np.random.default_rng(9)
+    for mask in itertools.product((False, True), repeat=len(dims)):
+        U = rng.standard_normal(dims)
+        for axis in np.flatnonzero(mask):
+            U = U + np.flip(U, axis)
+        apply_fraclap(op, U)
+        assert ("pow_tensor" in op.__dict__) == (not all(mask))
+        op.__dict__.pop("pow_tensor", None)
 
 
 @pytest.mark.parametrize("dims", [(16,), (16, 17), (3, 4, 5)])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fracspec import (
+    EvolutionConfig,
     PoleError,
     SpectralFactor,
     apply_fraclap,
@@ -22,6 +23,7 @@ from fracspec import (
     gaussian_field,
     make_grid,
     plap_constant,
+    run_evolution,
     signed_power,
 )
 from fracspec.fracplap import (
@@ -32,6 +34,7 @@ from fracspec.fracplap import (
     invariant_orbits,
 )
 from fracspec.tensor_ops import mode_product
+from toys import toy_factor
 
 
 # ----------------------------------------------------------------------------
@@ -78,6 +81,15 @@ def test_signed_power_is_odd():
 def test_signed_power_rejects_small_exponent():
     with pytest.raises(ValueError):
         signed_power(np.array([1.0]), 0.99)
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_non_finite_exponent_is_refused(p):
+    # inf passes p >= 1, so it has its own check
+    with pytest.raises(ValueError, match="p must be finite"):
+        signed_power([0.5, 2.0], p)
+    with pytest.raises(ValueError, match="p must be finite"):
+        plap_constant(1, 0.5, p)
 
 
 # ----------------------------------------------------------------------------
@@ -143,12 +155,7 @@ def test_constant_validates_parameters():
 
 def test_build_power_tensor_uses_half_sp_order():
     # the even mode is the kernel, the odd one has eigenvalue -4
-    lam = np.array([0.0, -4.0])
-    f = SpectralFactor(
-        N=2, P_even=np.eye(1), Pinv_even=np.full((1, 1), 0.5),
-        lam=lam, zero_index=0, raw_zero_lambda=0.0,
-    )
-    op = build_fracplap([f], [1.0], 0.5, 2.0)
+    op = build_fracplap([toy_factor([0.0, -4.0])], [1.0], 0.5, 2.0)
     # order s*p/2 = 0.5, so (-(-4))**0.5 = 2
     assert np.array_equal(op.pow_tensor, np.array([0.0, 2.0]))
     assert op.c_const == pytest.approx(-1.0, abs=1e-14)
@@ -244,6 +251,35 @@ def test_apply_plap_keeps_no_kernel_on_the_operator():
     held = [v.size for v in vars(op).values() if isinstance(v, np.ndarray)]
     assert max(held) < math.prod(dims) ** 2
     assert np.array_equal(apply_plap(op, U), first)
+
+
+@pytest.mark.parametrize("dims, scales", [((9,), (2.0,)), ((9, 8), (2.0, 2.5)), ((9, 9), (2.0, 2.0))])
+def test_mirror_folded_kernels_never_build_the_full_power_tensor(dims, scales):
+    op = build_fracplap(build_axis_factors(dims), scales, 0.5, 1.7)
+    U = gaussian_field([make_grid(N, L) for N, L in zip(dims, scales)])
+    apply_plap(op, U)
+    folded_kernel(op, grid_orbits(dims, "mirror"))
+    assert "pow_tensor" not in op.__dict__
+    # the trivial group is the one p-Laplacian reader of the full tensor
+    folded_kernel(op, grid_orbits(dims, "none"))
+    assert "pow_tensor" in op.__dict__
+
+
+def test_evolution_never_builds_the_full_power_tensor(monkeypatch):
+    import fracspec.evolution
+
+    ops = []
+
+    def recording(*args):
+        ops.append(build_fracplap(*args))
+        return ops[-1]
+
+    monkeypatch.setattr(fracspec.evolution, "build_fracplap", recording)
+    for n in (1, 2):
+        cfg = EvolutionConfig(n=n, s=0.6, p=1.8, N=9, L=2.0, dt=0.01, t_end=0.02, snapshot_times=(0.02,))
+        run_evolution(cfg, gaussian_field([make_grid(9, 2.0)] * n))
+    assert len(ops) == 2
+    assert all("pow_tensor" not in op.__dict__ for op in ops)
 
 
 def test_kernel_is_read_only_and_symmetric():
