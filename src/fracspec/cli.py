@@ -270,10 +270,12 @@ def _cmd_evolve(args) -> int:
     mid = (config.N - 1) // 2
     section_idx = (slice(None),) + (mid,) * (config.n - 1)
     outputs = []
+    t0 = time.perf_counter()
     for name, snap in zip(names, snapshots):
         write_csv(args.out_dir / name, ["x", "u", "r", "v"],
                   [x, snap.U[section_idx], snap.section_r, snap.section_v])
         outputs.append(name)
+    t_write = time.perf_counter() - t0
     masses = [[snap.t, snap.mass] for snap in snapshots]
     if mass0 != 0.0:
         drift = max(abs(snap.mass - mass0) for snap in snapshots) / abs(mass0)
@@ -295,7 +297,8 @@ def _cmd_evolve(args) -> int:
         "N": config.N, "L": config.L, "dt": config.dt,
         "t_end": config.t_end, "snapshot_times": list(config.snapshot_times),
     }
-    _manifest(args.out_dir, "evolve", params, {"integration": wall}, outputs, route=route)
+    _manifest(args.out_dir, "evolve", params, {"integration": wall, "write": t_write}, outputs,
+              route=route)
     print(json.dumps({"drift": drift, "masses": masses}, indent=2))
     return 0
 

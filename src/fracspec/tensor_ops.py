@@ -2,9 +2,10 @@
 
 Fields on an n-dimensional grid are plain numpy arrays of shape
 (N_1, ..., N_n).  The grid reads the same backwards along every axis, and
-``on_mirror_half`` is the one place that uses a field's mirror symmetry:
-it runs a computation on the top half of every mirrored axis
-(``mirror_axes``) and copies the result into the bottom half.
+two helpers use a field's mirror symmetry (``mirror_axes``):
+``on_mirror_half`` runs a computation on the top half of every mirrored
+axis and copies the result into the bottom half, and ``write_field_csv``
+formats each value that a bitwise mirror repeats only once.
 
 Where a flat ordering matters (the field CSV rows) the convention is first
 index fastest, i.e. column-major: ``numpy.ravel(A, order='F')``.  ``_VALUE``
@@ -218,32 +219,93 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
     index tuple, first index fastest, to the all-ones tuple.  The index text
     is formatted once per shape: a template holds one sweep of the leading
     axes that fit in a chunk, with ``@`` for the trailing indices written in
-    per sweep; the bytes are those of ``"%d,...,%.17g\\n" % row``.  A JSON
-    sidecar ``<path stem>.json`` records the shape, so ``path`` must not end
-    in ``.json``.  Returns the sidecar path.
+    per sweep.  A field that equals its reflection bit for bit along some
+    axis formats each mirror-distinct value once (``_MirrorText``) and
+    fills the template with those strings; any other field is filled from
+    its floats.  Either way the bytes are those of ``"%d,...,%.17g\\n" %
+    row``.  A JSON sidecar ``<path stem>.json`` records the shape, so
+    ``path`` must not end in ``.json``.  Returns the sidecar path.
     """
     arr = np.asarray(arr, dtype=float)
     shape = _checked_shape(arr.shape)
     path = os.fspath(path)
     sidecar = _sidecar_path(path)
-    values = arr.ravel(order="F")[::-1]
     # leading axes: the most whose sweep fits in one chunk
     lead, rows = 0, 1
     while lead < len(shape) and rows * shape[lead] <= _CSV_CHUNK_ROWS:
         rows *= shape[lead]
         lead += 1
+    # compared as bits, as -0 and 0 are equal under == but print differently;
+    # a length-1 axis is its own mirror and repeats nothing
+    mirrored = [m and N > 1 for N, m in zip(shape, mirror_axes(arr.view(np.uint64)))]
+    distinct = _MirrorText(arr, mirrored, lead) if any(mirrored) else None
+    values = None if distinct else arr.ravel(order="F")[::-1]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(f"i{k + 1}" for k in range(len(shape))) + ",value\n")
-        template = "".join(f"{t}@{_VALUE}\n" for t in _index_text(shape[:lead]))
+        template = "".join(f"{t}@{'%s' if distinct else _VALUE}\n" for t in _index_text(shape[:lead]))
         trailing = _index_text(shape[lead:])
         sweeps = _CSV_CHUNK_ROWS // rows
-        for a in range(0, values.size, sweeps * rows):
-            text = "".join([template.replace("@", t) for t in itertools.islice(trailing, sweeps)])
-            fh.write(_fill(text, [values[a:a + sweeps * rows]]))
+        for a in range(0, arr.size, sweeps * rows):
+            count = min(sweeps, (arr.size - a) // rows)
+            chunk = "".join([template.replace("@", t) for t in itertools.islice(trailing, count)])
+            entries = distinct.sweeps(a // rows, count) if distinct else values[a:a + count * rows]
+            fh.write(_fill(chunk, [entries]))
     with open(sidecar, "w", newline="\n") as fh:
         json.dump({"shape": list(shape)}, fh)
         fh.write("\n")
     return sidecar
+
+
+class _MirrorText:
+    """The value strings of a field's CSV rows, each mirror-distinct value formatted once.
+
+    Along a mirrored axis of length N index i holds the bits of N-1-i, so
+    every value also sits in the box ``i >= N // 2`` of those axes, the
+    orbit member the descending rows reach first.  The box values are
+    formatted in row order, one ``%`` per chunk, and kept as that text;
+    ``sweeps`` splits the chunks a run of sweeps draws on, keeping a split
+    while the next run still draws on it, and gathers each row's string.
+    """
+
+    def __init__(self, arr: np.ndarray, mirrored: Sequence[bool], lead: int):
+        box = arr[tuple(slice(N // 2 if m else 0, None) for N, m in zip(arr.shape, mirrored))]
+        flat = box.ravel(order="F")[::-1]
+        self.text = [(_VALUE + "\n") * len(c) % tuple(c.tolist())
+                     for c in (flat[b:b + _CSV_CHUNK_ROWS] for b in range(0, flat.size, _CSV_CHUNK_ROWS))]
+        self.split: dict[int, np.ndarray] = {}
+        self.last = box.size - 1
+        # a box position is a leading part plus stride times a trailing part
+        rows, self.stride = math.prod(arr.shape[:lead]), math.prod(box.shape[:lead])
+        self.lead_pos = _box_position(arr.shape[:lead], mirrored[:lead], np.arange(rows - 1, -1, -1))
+        self.trailing = arr.shape[lead:], mirrored[lead:]
+
+    def sweeps(self, first: int, count: int) -> np.ndarray:
+        """The strings of sweeps ``first`` to ``first + count - 1`` in row order."""
+        shape, mirrored = self.trailing
+        top = math.prod(shape) - 1 - first
+        trail = _box_position(shape, mirrored, np.arange(top, top - count, -1))
+        # index into the box values in row order, which run backwards through the box
+        pos = ((self.last - self.stride * trail)[:, None] - self.lead_pos).ravel()
+        lo, hi = pos.min() // _CSV_CHUNK_ROWS, pos.max() // _CSV_CHUNK_ROWS + 1
+        self.split = {j: self.split[j] if j in self.split else
+                      np.array(self.text[j].split("\n")[:-1], dtype=object) for j in range(lo, hi)}
+        return np.concatenate([self.split[j] for j in range(lo, hi)])[pos - lo * _CSV_CHUNK_ROWS]
+
+
+def _box_position(shape: Sequence[int], mirrored: Sequence[bool], flat: np.ndarray) -> np.ndarray:
+    """Column-major position in the mirror box of each column-major position ``flat`` in ``shape``.
+
+    Along a mirrored axis of length N index i goes to max(i, N-1-i) - N//2,
+    in a box axis of length ceil(N/2); any other axis keeps its index.
+    """
+    pos, stride = np.zeros_like(flat), 1
+    for N, m in zip(shape, mirrored):
+        flat, i = np.divmod(flat, N)
+        if m:
+            i, N = np.maximum(i, N - 1 - i) - N // 2, (N + 1) // 2
+        pos += stride * i
+        stride *= N
+    return pos
 
 
 def _index_text(shape: tuple[int, ...]) -> Iterator[str]:
@@ -269,23 +331,28 @@ def _fill(template: str, columns: Sequence[np.ndarray]) -> str:
 def read_field_csv(path: str | os.PathLike) -> np.ndarray:
     """Read a tensor written by ``write_field_csv``.
 
-    Every index tuple of the sidecar shape must appear exactly once, in any
-    row order.
+    The file is UTF-8 text with ``\\n`` or ``\\r\\n`` line ends; a byte
+    that is not UTF-8 raises ``UnicodeDecodeError``, a ``ValueError``.  The
+    header's column count is checked first, and then ``numpy.loadtxt``
+    reads the rows from the path, which parses faster than from an open
+    text handle.  Every index tuple of the sidecar shape must appear exactly
+    once, in any row order.
     """
     path = os.fspath(path)
     with open(_sidecar_path(path)) as fh:
         shape = _checked_shape(json.load(fh)["shape"])
     size = math.prod(shape)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         ncols = fh.readline().count(",") + 1
-        if ncols != len(shape) + 1:
-            raise ValueError(f"CSV has {ncols} columns but the sidecar shape has {len(shape)} dims")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=1,
-                              dtype=[("i", np.int64, (len(shape),)), ("v", float)])
+    if ncols != len(shape) + 1:
+        raise ValueError(f"CSV has {ncols} columns but the sidecar shape has {len(shape)} dims")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, encoding="utf-8", ndmin=1,
+                          dtype=[("i", np.int64, (len(shape),)), ("v", float)])
     indices = rows["i"]
-    bad = np.flatnonzero(((indices < 1) | (indices > shape)).any(axis=1))
+    # the row of each out-of-range entry, in row order
+    bad = np.flatnonzero((indices < 1) | (indices > shape)) // len(shape)
     if bad.size:
         raise ValueError(f"index {tuple(indices[bad[0]].tolist())} out of range for shape {shape}")
     indices -= 1

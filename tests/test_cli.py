@@ -402,6 +402,10 @@ def test_evolve_writes_snapshots_and_report(tmp_path):
     assert "mirror-symmetric" in report["route"]["group_reason"]
     assert set(manifest["parameters"]) == {"config", "n", "s", "p", "N", "L", "dt", "t_end",
                                            "snapshot_times"}
+    # the snapshot writes are timed apart from the integration
+    assert set(manifest["timings"]) == {"integration", "write"}
+    assert manifest["timings"]["integration"] == report["wall_time"]
+    assert manifest["timings"]["write"] >= 0.0
 
 
 def test_evolve_refuses_snapshot_times_sharing_a_file_name(tmp_path):

@@ -343,6 +343,54 @@ def test_field_csv_bytes_match_per_row_formatting(tmp_path, shape):
     assert path.read_bytes() == per_row_field_csv(arr)
 
 
+def mirrored_field(shape, axes, seed):
+    """A field with SPECIAL_VALUES in mirror pairs that equals its reflection bit for bit along ``axes``."""
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal(shape) * np.exp(rng.uniform(-700.0, 700.0, shape))
+    flat = arr.reshape(-1)
+    flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:flat.size]
+    for axis in axes:
+        u = np.moveaxis(arr, axis, 0)
+        u[(len(u) + 1) // 2:] = u[:len(u) // 2][::-1]
+    return arr
+
+
+# the chunk-spanning shapes, with even and odd lengths, mirrored along
+# every axis, the first only or the last only; the writer sweeps no leading
+# axis on the 1-d shapes, the first on the 2-d ones and two on the 3-d ones
+MIRRORED_CASES = sorted({
+    (shape, axes)
+    for shape in [(70000,), (70001,), (3, 30001), (1000, 70), (999, 71), (30, 40, 60), (31, 40, 59)]
+    for axes in [tuple(range(len(shape))), (0,), (len(shape) - 1,)]
+})
+
+
+@pytest.mark.parametrize(
+    "shape, axes", MIRRORED_CASES,
+    ids=[f"{'x'.join(map(str, shape))}-axes{''.join(map(str, axes))}" for shape, axes in MIRRORED_CASES],
+)
+def test_field_csv_bytes_match_per_row_formatting_on_mirrored_fields(tmp_path, shape, axes):
+    arr = mirrored_field(shape, axes, seed=len(shape))
+    assert all(mirror_axes(arr.view(np.uint64))[axis] for axis in axes)
+    assert np.isnan(arr).sum() >= 2 and np.isinf(arr).sum() >= 4
+    path = tmp_path / "f.csv"
+    write_field_csv(path, arr)
+    assert path.read_bytes() == per_row_field_csv(arr)
+
+
+@pytest.mark.parametrize("shape", [(7,), (70001,), (4, 5, 6)], ids=lambda shape: "x".join(map(str, shape)))
+def test_field_csv_writes_the_sign_of_a_mirrored_zero(tmp_path, shape):
+    # symmetric under == but not bit for bit: -0 faces +0 across every axis
+    arr = mirrored_field(shape, range(len(shape)), seed=11)
+    arr.reshape(-1)[0] = -0.0
+    arr.reshape(-1)[-1] = 0.0
+    signless = np.where(arr == 0.0, 0.0, arr)
+    assert all(mirror_axes(signless.view(np.uint64))) and not any(mirror_axes(arr.view(np.uint64)))
+    path = tmp_path / "z.csv"
+    write_field_csv(path, arr)
+    assert path.read_bytes() == per_row_field_csv(arr)
+
+
 def test_write_csv_bytes_match_per_row_formatting(tmp_path):
     rng = np.random.default_rng(7)
     n = 70000
@@ -434,6 +482,26 @@ def test_field_csv_read_refuses_bad_rows(tmp_path, row, match):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=match):
         read_field_csv(path)
+
+
+def test_field_csv_read_refuses_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "u.csv"
+    write_field_csv(path, np.zeros((3, 4)))
+    lines = path.read_bytes().split(b"\n")
+    lines[5] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_field_csv(path)
+    assert isinstance(info.value, UnicodeDecodeError)
+
+
+def test_field_csv_read_takes_crlf_line_ends_bitwise(tmp_path):
+    arr = np.random.default_rng(12).standard_normal((5, 6))
+    arr.reshape(-1)[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    path = tmp_path / "w.csv"
+    write_field_csv(path, arr)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_field_csv(path).tobytes() == arr.tobytes()
 
 
 def test_field_csv_read_header_only_counts_zero_rows(tmp_path):
