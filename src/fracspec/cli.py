@@ -2,9 +2,10 @@
 
 Subcommands: nodes, factor, fraclap, fracplap, evolve, validate.
 Every run writes its data files plus a ``<subcommand>_manifest.json``
-recording the resolved parameters, per-phase wall times, and the output
-file list.  Exit codes: 0 success, 1 parameter error, 2 numerical-contract
-violation (the message names the violated contract).
+recording the resolved parameters, per-phase wall times, the output
+file list and the process's peak resident set size.  Exit codes: 0
+success, 1 parameter error, 2 numerical-contract violation (the message
+names the violated contract).
 """
 
 from __future__ import annotations
@@ -100,6 +101,16 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far in MB (2**20 bytes); None without ``resource``."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB on Linux
+
+
 def _manifest(out_dir: Path, subcommand: str, params: dict, timings: dict, outputs: list[str],
               **extra) -> None:
     path = out_dir / f"{subcommand}_manifest.json"
@@ -111,6 +122,7 @@ def _manifest(out_dir: Path, subcommand: str, params: dict, timings: dict, outpu
             "parameters": params,
             "timings": timings,
             "outputs": outputs,
+            "peak_rss_mb": _peak_rss_mb(),
             **extra,
         },
     )

@@ -189,9 +189,8 @@ def run_evolution(config: EvolutionConfig, u0: np.ndarray) -> list[Snapshot]:
     """
     u0 = checked_field(u0, config.shape)
     grids = config_grids(config)
-    factor = build_axis_factors([config.N])[0]
     op = build_fracplap(
-        [factor] * config.n, [config.L] * config.n, config.s, config.p
+        build_axis_factors([config.N] * config.n), [config.L] * config.n, config.s, config.p
     )
     orbits = invariant_orbits(u0, op.scales)[0]
     params = self_similar_params(config.n, config.s, config.p)

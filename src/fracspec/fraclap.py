@@ -66,9 +66,12 @@ def build_axis_factors(dims: Sequence[int]) -> tuple[SpectralFactor, ...]:
     """Eigen-factorize the unscaled second-derivative matrix per axis.
 
     The angular matrices depend only on the node count, so physical scales
-    enter later through the eigenvalue division.
+    enter later through the eigenvalue division, and axes with the same
+    count share one read-only factor, factorized once.
     """
-    return tuple(factorize(make_grid(int(N), 1.0)) for N in dims)
+    dims = [int(N) for N in dims]
+    factors = {N: factorize(make_grid(N, 1.0)) for N in dict.fromkeys(dims)}
+    return tuple(factors[N] for N in dims)
 
 
 def _power_tensor(lambdas: Sequence[np.ndarray], scales: Sequence[float], order: float) -> np.ndarray:

@@ -337,32 +337,47 @@ def read_field_csv(path: str | os.PathLike) -> np.ndarray:
     reads the rows from the path, which parses faster than from an open
     text handle.  Every index tuple of the sidecar shape must appear exactly
     once, in any row order.
+
+    At most the first ``size + 1`` rows are parsed, ``size`` the sidecar's
+    entry count (fewer when the file has no room for that many), so
+    ``loadtxt`` allocates its rows once.  A file with more rows is refused
+    all the same: its first ``size + 1`` rows hold an index that is out of
+    range or repeated, and that is the one the message names.  The
+    full-size memory is the parsed rows (``8 * (n + 1)`` bytes each), the
+    returned field and one byte per entry: each row's column-major flat
+    position is built in place in its last index column.
     """
     path = os.fspath(path)
     with open(_sidecar_path(path)) as fh:
         shape = _checked_shape(json.load(fh)["shape"])
-    size = math.prod(shape)
+    size, n = math.prod(shape), len(shape)
     with open(path, encoding="utf-8") as fh:
         ncols = fh.readline().count(",") + 1
-    if ncols != len(shape) + 1:
-        raise ValueError(f"CSV has {ncols} columns but the sidecar shape has {len(shape)} dims")
+    if ncols != n + 1:
+        raise ValueError(f"CSV has {ncols} columns but the sidecar shape has {n} dims")
+    # a row takes at least 2n + 2 bytes, so a short file never sizes the rows from a large sidecar
+    max_rows = min(size, os.path.getsize(path) // (2 * n + 2)) + 1
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         rows = np.loadtxt(path, delimiter=",", skiprows=1, encoding="utf-8", ndmin=1,
-                          dtype=[("i", np.int64, (len(shape),)), ("v", float)])
+                          max_rows=max_rows, dtype=[("i", np.int64, (n,)), ("v", float)])
     indices = rows["i"]
-    # the row of each out-of-range entry, in row order
-    bad = np.flatnonzero((indices < 1) | (indices > shape)) // len(shape)
-    if bad.size:
-        raise ValueError(f"index {tuple(indices[bad[0]].tolist())} out of range for shape {shape}")
-    indices -= 1
-    pos = np.ravel_multi_index(tuple(indices.T), shape, order="F")
+    # column by column: numpy reduces a strided column several times faster than the 2-d block
+    if any(col.min(initial=1) < 1 or col.max(initial=1) > N for N, col in zip(shape, indices.T)):
+        first = np.argmax(((indices < 1) | (indices > shape)).any(1))
+        raise ValueError(f"index {tuple(indices[first].tolist())} out of range for shape {shape}")
+    # Horner over the axes, last first, in the last column: sum_k (i_k - 1) * prod(shape[:k])
+    pos = indices[:, -1]
+    for N, column in zip(shape[-2::-1], indices.T[-2::-1]):
+        pos *= N
+        pos += column
+    pos -= sum(math.prod(shape[:k]) for k in range(n))
     seen = np.zeros(size, dtype=bool)
     seen[pos] = True
     if np.count_nonzero(seen) != pos.size:
-        repeated = np.flatnonzero(np.bincount(pos, minlength=size) > 1)
-        first = indices[np.argmax(pos == repeated[0])] + 1
-        raise ValueError(f"index {tuple(first.tolist())} appears twice")
+        repeated = np.flatnonzero(np.bincount(pos, minlength=size) > 1)[0]
+        first = np.unravel_index(repeated, shape, order="F")
+        raise ValueError(f"index {tuple(int(i) + 1 for i in first)} appears twice")
     if pos.size != size:
         raise ValueError(f"expected {size} rows, found {pos.size}")
     flat = np.empty(size)

@@ -76,6 +76,16 @@ def test_nodes_writes_full_precision_csv(tmp_path):
     assert manifest["subcommand"] == "nodes"
     assert manifest["outputs"] == ["nodes.csv"]
     assert "total" in manifest["timings"]
+    # the peak resident set of the run's own process, in MB
+    assert 1.0 < manifest["peak_rss_mb"] < 4096.0
+
+
+def test_manifest_peak_rss_is_null_without_resource(tmp_path, monkeypatch):
+    from fracspec import cli
+
+    monkeypatch.setitem(sys.modules, "resource", None)  # the next import raises ImportError
+    assert cli.main(["nodes", "--n", "5", "--scale", "2.0", "--out-dir", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "nodes_manifest.json")["peak_rss_mb"] is None
 
 
 # pins nodes.csv byte for byte: integer j, 17-digit floats, "\n" endings
@@ -275,7 +285,8 @@ def test_fracplap_cross_checks_modes_and_reference(tmp_path):
     assert set(report) == {"max_error", "wall_time", "wall_time_oracle", "route"}
     assert report["wall_time_oracle"] > 0.0
     manifest = read_json(tmp_path / "fracplap_manifest.json")
-    assert set(manifest) == {"subcommand", "version", "parameters", "timings", "outputs", "route"}
+    assert set(manifest) == {"subcommand", "version", "parameters", "timings", "outputs", "route",
+                             "peak_rss_mb"}
     assert manifest["route"] == report["route"]
     assert manifest["timings"]["write"] >= 0.0
     assert manifest["timings"]["oracle"] == report["wall_time_oracle"]

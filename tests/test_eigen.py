@@ -187,6 +187,19 @@ def test_evolve_solves_one_even_block(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("dims, solves", [((9, 9), 1), ((8, 9), 2), ((9, 8, 9), 2)])
+def test_build_axis_factors_solves_each_node_count_once(dims, solves, monkeypatch):
+    calls = _recorded_eigh(monkeypatch)
+    factors = build_axis_factors(dims)
+    assert len(calls) == solves
+    assert tuple(f.N for f in factors) == dims
+    # axes with one node count share one factor, so its odd block is solved once for all of them
+    assert all((a is b) == (a.N == b.N) for a in factors for b in factors)
+    for f in factors:
+        f.P_odd
+    assert len(calls) == 2 * solves
+
+
 @pytest.mark.parametrize("name", ["lam", "lam_odd", "P_odd", "Pinv_odd"])
 def test_positive_odd_eigenvalue_is_rejected(name, monkeypatch):
     # the odd block is solved on its first read, and checked before any of it is returned

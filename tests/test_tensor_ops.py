@@ -464,6 +464,69 @@ def test_field_csv_read_rejects_repeated_index(tmp_path):
         read_field_csv(path)
 
 
+def test_field_csv_read_refuses_extra_rows_as_repeated(tmp_path):
+    path = tmp_path / "x.csv"
+    write_field_csv(path, np.zeros((3, 4)))
+    lines = path.read_text().splitlines()
+    # three more rows, every index in range: the first size + 1 rows repeat one
+    path.write_text("\n".join(lines + lines[5:8]) + "\n")
+    with pytest.raises(ValueError, match="appears twice"):
+        read_field_csv(path)
+
+
+def test_field_csv_read_counts_the_rows_of_a_short_file_under_a_huge_sidecar(tmp_path):
+    # rows for the sidecar's 6e8 entries would take 13 GiB; the file has room for a few
+    path = tmp_path / "big.csv"
+    write_field_csv(path, np.zeros((3, 1)))
+    (tmp_path / "big.json").write_text('{"shape": [20000, 30000]}\n')
+    with pytest.raises(ValueError, match="expected 600000000 rows, found 3"):
+        read_field_csv(path)
+
+
+def test_field_csv_read_names_the_first_out_of_range_row(tmp_path):
+    path = tmp_path / "o.csv"
+    write_field_csv(path, np.zeros((3, 4)))
+    lines = path.read_text().splitlines()
+    # past the end on the second axis first, then below the start on the first
+    lines[3], lines[7] = "2,5,1.0", "0,1,1.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"^index \(2, 5\) out of range for shape \(3, 4\)$"):
+        read_field_csv(path)
+
+
+def test_field_csv_read_names_the_repeated_index_of_least_flat_position(tmp_path):
+    path = tmp_path / "r3.csv"
+    write_field_csv(path, np.zeros((2, 3, 4)))
+    lines = path.read_text().splitlines()
+    # (2, 3, 4) repeats first in row order, (1, 2, 3) first in column-major position
+    lines[2], lines[20] = "2,3,4,1.0", "1,2,3,1.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"^index \(1, 2, 3\) appears twice$"):
+        read_field_csv(path)
+
+
+def test_field_csv_read_holds_only_the_rows_the_field_and_a_mask(tmp_path):
+    import tracemalloc
+
+    from fracspec import gaussian_field, make_grid
+
+    shape = (300, 301)
+    path = tmp_path / "m.csv"
+    field = gaussian_field([make_grid(N, 3.0) for N in shape])
+    write_field_csv(path, field)
+    size = field.size
+    # the parsed rows (two int64 indices and a float), the result and one byte per entry
+    budget = (size + 1) * 24 + size * 8 + size
+    tracemalloc.start()
+    try:
+        back = read_field_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == field.tobytes()
+    assert peak <= 1.1 * budget
+
+
 @pytest.mark.parametrize(
     "row, match",
     [
