@@ -11,6 +11,7 @@ names the violated contract).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,36 +41,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
+    """Comma-separated ``int`` or ``float`` values."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(kind(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"expected comma-separated {what}, got {text!r}") from None
 
 
 def _make_field(selector: str, grids, dims):
-    """Resolve a --field argument to (samples, kind, lorentz_exponent)."""
+    """Resolve a --field argument to (samples, exact).
+
+    ``exact(s, n, r2)`` is a built-in field's closed-form image, and None for a csv: field.
+    """
+    kind, sep, arg = selector.partition(":")
     if selector == "gaussian":
-        return gaussian_field(grids), "gaussian", None
-    if selector == "lorentzian":
-        return lorentzian_field(grids), "lorentzian", 1.0
-    if selector.startswith("lorentzian:"):
-        r = float(selector.partition(":")[2])
-        return lorentzian_field(grids, r), "lorentzian", r
-    if selector.startswith("csv:"):
-        U = checked_field(read_field_csv(selector.partition(":")[2]), dims)
+        return gaussian_field(grids), exact_fraclap_gaussian
+    if kind == "lorentzian":
+        r = float(arg) if sep else 1.0
+        return lorentzian_field(grids, r), lambda s, n, r2: exact_fraclap_algebraic(s, r, n, r2)
+    if kind == "csv" and sep:
+        U = checked_field(read_field_csv(arg), dims)
         bad = np.argwhere(~np.isfinite(U))
         if bad.size:  # one NaN or inf would spread to every output entry
             value, index = float(U[tuple(bad[0])]), tuple((bad[0] + 1).tolist())
             raise ValueError(f"field {selector!r} holds the non-finite value {value} at index {index}")
-        return U, "csv", None
+        return U, None
     raise ValueError(
         f"unknown field {selector!r}; expected gaussian, lorentzian[:r], or csv:PATH"
     )
@@ -80,19 +78,13 @@ def _grid_setup(args):
 
     Refuses --compare-exact with a csv: field here, before any work starts.
     """
-    dims = _parse_ints(args.dims)
-    scales = _parse_floats(args.scales)
+    dims = _parse_list(args.dims, int)
+    scales = _parse_list(args.scales, float)
     if len(dims) != len(scales):
         raise ValueError(f"--dims has {len(dims)} entries but --scales has {len(scales)}")
     if args.compare_exact and args.field.startswith("csv:"):
         raise ValueError("--compare-exact requires a built-in field (gaussian or lorentzian)")
     return dims, scales, [make_grid(N, L) for N, L in zip(dims, scales)]
-
-
-def _exact_reference(kind, lorentz_r, s, n, r2):
-    if kind == "gaussian":
-        return exact_fraclap_gaussian(s, n, r2)
-    return exact_fraclap_algebraic(s, lorentz_r, n, r2)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -167,7 +159,7 @@ def _cmd_factor(args) -> int:
 def _cmd_fraclap(args) -> int:
     dims, scales, grids = _grid_setup(args)
     checked_order(args.s)
-    U, kind, lor_r = _make_field(args.field, grids, dims)
+    U, exact = _make_field(args.field, grids, dims)
     t0 = time.perf_counter()
     factors = build_axis_factors(dims)
     op = build_fraclap(factors, scales, args.s)
@@ -175,34 +167,39 @@ def _cmd_fraclap(args) -> int:
     t0 = time.perf_counter()
     out = apply_fraclap(op, U)
     t_core = time.perf_counter() - t0
-    csv_name = "fraclap_field.csv"
-    t0 = time.perf_counter()
-    sidecar = write_field_csv(args.out_dir / csv_name, out)
-    t_write = time.perf_counter() - t0
-    outputs = [csv_name, os.path.basename(sidecar)]
     # the axes along which apply_fraclap ran only the even blocks
     folded = [axis for axis, mirrored in enumerate(mirror_axes(U)) if mirrored]
     report = {"wall_time_core": t_core, "mirror_folded_axes": folded}
+    return _field_run_outputs(args, grids, exact, out, report,
+                              {"build": t_build, "core": t_core}, mirror_folded_axes=folded)
+
+
+def _field_run_outputs(args, grids, exact, out, report, timings, **extra) -> int:
+    """The shared end of ``fraclap`` and ``fracplap``.
+
+    With --compare-exact the max error against ``exact`` and its time join
+    ``report``; then come the timed ``<subcommand>_field.csv`` write, the
+    report, the manifest with ``extra`` at its top level, and the print.
+    """
     t_oracle = 0.0
     if args.compare_exact:
         t0 = time.perf_counter()
-        exact = _exact_reference(kind, lor_r, args.s, len(dims), radius_squared(grids))
+        reference = exact(args.s, len(grids), radius_squared(grids))
         t_oracle = time.perf_counter() - t0
-        report["max_error"] = float(np.max(np.abs(out - exact)))
+        report["max_error"] = float(np.max(np.abs(out - reference)))
     report["wall_time_oracle"] = t_oracle
-    name = "fraclap_report.json"
+    csv_name = f"{args.subcommand}_field.csv"
+    t0 = time.perf_counter()
+    sidecar = write_field_csv(args.out_dir / csv_name, out)
+    timings.update(write=time.perf_counter() - t0, oracle=t_oracle)
+    name = f"{args.subcommand}_report.json"
     _write_json(args.out_dir / name, report)
-    outputs.append(name)
-    params = {
-        "dims": list(dims),
-        "scales": list(scales),
-        "s": args.s,
-        "field": args.field,
-        "compare_exact": bool(args.compare_exact),
-    }
-    _manifest(args.out_dir, "fraclap", params,
-              {"build": t_build, "core": t_core, "write": t_write, "oracle": t_oracle}, outputs,
-              mirror_folded_axes=folded)
+    # p is an argument of fracplap only
+    params = {"dims": [g.N for g in grids], "scales": [g.L for g in grids],
+              **{key: getattr(args, key) for key in ("s", "p", "field", "compare_exact")
+                 if hasattr(args, key)}}
+    _manifest(args.out_dir, args.subcommand, params, timings,
+              [csv_name, os.path.basename(sidecar), name], **extra)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -223,7 +220,7 @@ def _cmd_fracplap(args) -> int:
     dims, scales, grids = _grid_setup(args)
     checked_order(args.s)
     checked_exponent(args.p)
-    U, kind, lor_r = _make_field(args.field, grids, dims)
+    U, exact = _make_field(args.field, grids, dims)
     t0 = time.perf_counter()
     factors = build_axis_factors(dims)
     op = build_fracplap(factors, scales, args.s, args.p)
@@ -233,40 +230,12 @@ def _cmd_fracplap(args) -> int:
     t0 = time.perf_counter()
     out = apply_plap(op, U)
     t_core = time.perf_counter() - t0
-    report = {"wall_time": t_core, "route": route}
-    t_oracle = 0.0
-    if args.compare_exact:
-        t0 = time.perf_counter()
-        exact = _exact_reference(kind, lor_r, args.s, len(dims), radius_squared(grids))
-        t_oracle = time.perf_counter() - t0
-        report["max_error"] = float(np.max(np.abs(out - exact)))
-    report["wall_time_oracle"] = t_oracle
-    csv_name = "fracplap_field.csv"
-    t0 = time.perf_counter()
-    sidecar = write_field_csv(args.out_dir / csv_name, out)
-    t_write = time.perf_counter() - t0
-    name = "fracplap_report.json"
-    _write_json(args.out_dir / name, report)
-    params = {
-        "dims": list(dims),
-        "scales": list(scales),
-        "s": args.s,
-        "p": args.p,
-        "field": args.field,
-        "compare_exact": bool(args.compare_exact),
-    }
-    _manifest(args.out_dir, "fracplap", params,
-              {"build": t_build, "core": t_core, "write": t_write, "oracle": t_oracle},
-              [csv_name, os.path.basename(sidecar), name], route=route)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+    return _field_run_outputs(args, grids, exact, out, {"wall_time": t_core, "route": route},
+                              {"build": t_build, "core": t_core}, route=route)
 
 
 def _cmd_evolve(args) -> int:
-    try:
-        config = load_config(args.config)
-    except OSError as exc:
-        raise ValueError(f"cannot read config: {exc}") from None
+    config = load_config(args.config)
     names = [f"snap_t{t:g}.csv" for t in config.snapshot_times]
     if len(set(names)) < len(names):
         raise ValueError(f"snapshot_times {list(config.snapshot_times)} repeat a file name: {names}")
@@ -303,12 +272,7 @@ def _cmd_evolve(args) -> int:
     name = "evolve_report.json"
     _write_json(args.out_dir / name, report)
     outputs.append(name)
-    params = {
-        "config": str(args.config),
-        "n": config.n, "s": config.s, "p": config.p,
-        "N": config.N, "L": config.L, "dt": config.dt,
-        "t_end": config.t_end, "snapshot_times": list(config.snapshot_times),
-    }
+    params = {"config": str(args.config), **dataclasses.asdict(config)}
     _manifest(args.out_dir, "evolve", params, {"integration": wall, "write": t_write}, outputs,
               route=route)
     print(json.dumps({"drift": drift, "masses": masses}, indent=2))
@@ -381,13 +345,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except NumericalContractError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an unreadable config or field file is a bad parameter
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
 

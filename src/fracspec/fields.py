@@ -8,20 +8,14 @@ import numpy as np
 
 from .checks import checked_positive
 from .grid import Grid1D
+from .tensor_ops import outer_sum
 
 
 def radius_squared(grids: Sequence[Grid1D]) -> np.ndarray:
     """Tensor of |x|^2 = x_1^2 + ... + x_n^2 over the product grid."""
     if len(grids) == 0:
         raise ValueError("need at least one grid")
-    n = len(grids)
-    total = None
-    for ax, g in enumerate(grids):
-        shape = [1] * n
-        shape[ax] = g.N
-        term = (g.x * g.x).reshape(shape)
-        total = term if total is None else total + term
-    return total
+    return outer_sum([g.x * g.x for g in grids])
 
 
 def gaussian_field(grids: Sequence[Grid1D]) -> np.ndarray:

@@ -153,6 +153,31 @@ def _asymp_1f1(a: float, b: float, w: np.ndarray) -> tuple[np.ndarray, int, bool
     return coeff * w ** (-a) * total, used, ok
 
 
+def _hypergeometric(name: str, z, closed, near, far) -> HypergeometricResult:
+    """Evaluate on z by the closed form ``closed`` if given, else ``near`` on -50 <= z and ``far`` below.
+
+    Each branch returns (values, terms used, converged); NoConvergence names ``name``.
+    """
+    z_in = _checked_argument(z)
+    zf = np.atleast_1d(z_in).ravel()
+    used = 1
+    if closed is not None:
+        value = closed(zf)
+    else:
+        value = np.empty_like(zf)
+        split = zf >= -_BIG_Z
+        converged = True
+        for branch, where in ((near, split), (far, ~split)):
+            if where.any():
+                value[where], k, ok = branch(zf[where])
+                used = max(used, k)
+                converged &= ok
+        if not converged:
+            raise NoConvergence(f"{name} failed its convergence bound within {used} terms")
+    out = float(value[0]) if z_in.ndim == 0 else value.reshape(z_in.shape)
+    return HypergeometricResult(out, used, True)
+
+
 def hyp1f1(a: float, b: float, z: float | np.ndarray) -> HypergeometricResult:
     """Confluent hypergeometric 1F1(a; b; z) for b > 0 and z <= 0.
 
@@ -162,27 +187,9 @@ def hyp1f1(a: float, b: float, z: float | np.ndarray) -> HypergeometricResult:
     """
     a = checked_finite("a", a)
     b = checked_positive("b", float(b))
-    z_in = _checked_argument(z)
-    scalar = z_in.ndim == 0
-    zf = np.atleast_1d(z_in).ravel()
-    value = np.empty_like(zf)
-    if a == b:
-        # 1F1(a; a; z) is exp(z) exactly
-        out = np.exp(zf)
-        return HypergeometricResult(float(out[0]) if scalar else out.reshape(z_in.shape), 1, True)
-    w = -zf
-    near = w <= _BIG_Z
-    used = 1
-    converged = True
-    for branch, where in ((_kummer_1f1, near), (_asymp_1f1, ~near)):
-        if where.any():
-            value[where], k, ok = branch(a, b, w[where])
-            used = max(used, k)
-            converged &= ok
-    if not converged:
-        raise NoConvergence(f"1F1({a}, {b}, z) failed its convergence bound within {used} terms")
-    out = float(value[0]) if scalar else value.reshape(z_in.shape)
-    return HypergeometricResult(out, used, converged)
+    # 1F1(a; a; z) is exp(z) exactly
+    return _hypergeometric(f"1F1({a}, {b}, z)", z, np.exp if a == b else None,
+                           lambda x: _kummer_1f1(a, b, -x), lambda x: _asymp_1f1(a, b, -x))
 
 
 def _gauss_coef(a: float, b: float, c: float):
@@ -201,28 +208,11 @@ def hyp2f1(a: float, b: float, c: float, z: float | np.ndarray) -> Hypergeometri
     a = checked_finite("a", a)
     b = checked_finite("b", b)
     c = checked_positive("c", float(c))
-    z_in = _checked_argument(z)
-    scalar = z_in.ndim == 0
-    zf = np.atleast_1d(z_in).ravel()
-    if b == c:
-        out = (1.0 - zf) ** (-a)
-        return HypergeometricResult(float(out[0]) if scalar else out.reshape(z_in.shape), 1, True)
-    if a == c:
-        out = (1.0 - zf) ** (-b)
-        return HypergeometricResult(float(out[0]) if scalar else out.reshape(z_in.shape), 1, True)
-    value = np.empty_like(zf)
-    near = zf >= -_BIG_Z
-    used = 1
-    converged = True
-    for branch, where in ((_pfaff_2f1, near), (_connection_2f1, ~near)):
-        if where.any():
-            value[where], k, ok = branch(a, b, c, zf[where])
-            used = max(used, k)
-            converged &= ok
-    if not converged:
-        raise NoConvergence(f"2F1({a}, {b}; {c}; z) failed its convergence bound within {used} terms")
-    out = float(value[0]) if scalar else value.reshape(z_in.shape)
-    return HypergeometricResult(out, used, converged)
+    # 2F1(a, c; c; z) is (1 - z)**-a, and 2F1(c, b; c; z) is (1 - z)**-b
+    power = -a if b == c else -b if a == c else None
+    return _hypergeometric(f"2F1({a}, {b}; {c}; z)", z,
+                           None if power is None else lambda x: (1.0 - x) ** power,
+                           lambda x: _pfaff_2f1(a, b, c, x), lambda x: _connection_2f1(a, b, c, x))
 
 
 def _pfaff_2f1(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.ndarray, int, bool]:

@@ -16,6 +16,7 @@ layout (1-based index columns, a JSON shape sidecar) on top of it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -169,17 +170,18 @@ def eigen_sum_tensor(lambdas: Sequence[np.ndarray], scales: Sequence[float]) -> 
     scales = [float(L) for L in scales]
     if any(not L > 0 for L in scales):
         raise ValueError(f"scales must be positive, got {scales}")
-    n = len(lambdas)
-    total = None
-    for ax, (lam, L) in enumerate(zip(lambdas, scales)):
-        lam = np.asarray(lam, dtype=float)
+    lambdas = [np.asarray(lam, dtype=float) for lam in lambdas]
+    for ax, lam in enumerate(lambdas):
         if lam.ndim != 1:
             raise ValueError(f"eigenvalue vector {ax} must be 1-d")
-        shape = [1] * n
-        shape[ax] = lam.size
-        term = (lam / (L * L)).reshape(shape)
-        total = term if total is None else total + term
-    return total
+    return outer_sum([lam / (L * L) for lam, L in zip(lambdas, scales)])
+
+
+def outer_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor of entries vectors[0][i_1] + ... + vectors[n-1][i_n], summed left to right, n >= 1."""
+    n = len(vectors)
+    terms = [v.reshape([v.size if k == ax else 1 for k in range(n)]) for ax, v in enumerate(vectors)]
+    return functools.reduce(np.add, terms)
 
 
 def hadamard_pow_neg(T: np.ndarray, exponent: float) -> np.ndarray:
@@ -335,7 +337,8 @@ def read_field_csv(path: str | os.PathLike) -> np.ndarray:
     that is not UTF-8 raises ``UnicodeDecodeError``, a ``ValueError``.  The
     header's column count is checked first, and then ``numpy.loadtxt``
     reads the rows from the path, which parses faster than from an open
-    text handle.  Every index tuple of the sidecar shape must appear exactly
+    text handle.  The sidecar must hold a list of positive integers under
+    ``"shape"``, and every index tuple of that shape must appear exactly
     once, in any row order.
 
     At most the first ``size + 1`` rows are parsed, ``size`` the sidecar's
@@ -348,8 +351,15 @@ def read_field_csv(path: str | os.PathLike) -> np.ndarray:
     position is built in place in its last index column.
     """
     path = os.fspath(path)
-    with open(_sidecar_path(path)) as fh:
-        shape = _checked_shape(json.load(fh)["shape"])
+    sidecar = _sidecar_path(path)
+    with open(sidecar) as fh:
+        meta = json.load(fh)
+    shape = meta.get("shape") if isinstance(meta, dict) else None
+    # a bool is an int to Python, and int() would truncate a fractional entry
+    if not isinstance(shape, list) or any(type(N) is not int for N in shape):
+        raise ValueError(f"sidecar {sidecar!r} must hold {{\"shape\": [N1, ...]}} with integer "
+                         f"entries, got {meta!r}")
+    shape = _checked_shape(shape)
     size, n = math.prod(shape), len(shape)
     with open(path, encoding="utf-8") as fh:
         ncols = fh.readline().count(",") + 1

@@ -147,9 +147,9 @@ def test_fraclap_against_exact_reference(tmp_path):
     manifest = read_json(tmp_path / "fraclap_manifest.json")
     # the Gaussian is mirror-symmetric along both axes
     assert report["mirror_folded_axes"] == manifest["mirror_folded_axes"] == [0, 1]
-    assert sorted(manifest["outputs"]) == [
-        "fraclap_field.csv", "fraclap_field.json", "fraclap_report.json",
-    ]
+    assert manifest["parameters"] == {"dims": [17, 18], "scales": [3.0, 3.1], "s": 0.37,
+                                      "field": "gaussian", "compare_exact": True}
+    assert manifest["outputs"] == ["fraclap_field.csv", "fraclap_field.json", "fraclap_report.json"]
     assert manifest["timings"]["write"] >= 0.0
 
 
@@ -230,6 +230,30 @@ def test_non_finite_csv_field_is_refused_before_factorization(tmp_path, monkeypa
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [("fraclap",), ("fracplap", "--p", "1.7")],
+                         ids=["fraclap", "fracplap"])
+@pytest.mark.parametrize("missing", ["in.csv", "in.json"], ids=["csv", "sidecar"])
+def test_missing_field_file_is_a_parameter_error(tmp_path, monkeypatch, capsys, command, missing):
+    """In-process, with the factorization replaced by a function that fails."""
+    from fracspec import cli, gaussian_field, make_grid, write_field_csv
+
+    write_field_csv(tmp_path / "in.csv", gaussian_field([make_grid(6, 2.0)]))
+    (tmp_path / missing).unlink()
+
+    def no_factorization(dims):
+        raise AssertionError("build_axis_factors ran without a field")
+
+    monkeypatch.setattr(cli, "build_axis_factors", no_factorization)
+    out_dir = tmp_path / "out"
+    code = cli.main([*command, "--dims", "6", "--scales", "2.0", "--s", "0.5",
+                     "--field", f"csv:{tmp_path / 'in.csv'}", "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("parameter error: ") and str(tmp_path / missing) in err
+    assert "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_fraclap_rejects_unknown_field(tmp_path):
     proc = run_cli(
         "fraclap", "--dims", "8", "--scales", "2.0", "--s", "0.5",
@@ -290,7 +314,9 @@ def test_fracplap_cross_checks_modes_and_reference(tmp_path):
     assert manifest["route"] == report["route"]
     assert manifest["timings"]["write"] >= 0.0
     assert manifest["timings"]["oracle"] == report["wall_time_oracle"]
-    assert set(manifest["parameters"]) == {"dims", "scales", "s", "p", "field", "compare_exact"}
+    assert manifest["parameters"] == {"dims": [12], "scales": [2.0], "s": 0.4, "p": 2.0,
+                                      "field": "gaussian", "compare_exact": True}
+    assert manifest["outputs"] == ["fracplap_field.csv", "fracplap_field.json", "fracplap_report.json"]
     # the CLI writes exactly the in-process apply_plap
     from fracspec import (apply_plap, build_axis_factors, build_fracplap, gaussian_field,
                           make_grid, read_field_csv)
@@ -411,8 +437,10 @@ def test_evolve_writes_snapshots_and_report(tmp_path):
     route = {"group": "mirror", "representatives": 12, "kernel_bytes": 8 * 12**2}
     assert report["route"] == manifest["route"] == {**route, "group_reason": report["route"]["group_reason"]}
     assert "mirror-symmetric" in report["route"]["group_reason"]
-    assert set(manifest["parameters"]) == {"config", "n", "s", "p", "N", "L", "dt", "t_end",
-                                           "snapshot_times"}
+    assert manifest["parameters"] == {"config": str(cfg), "n": 1, "s": 0.5, "p": 2.0, "N": 24,
+                                      "L": 5.0, "dt": 0.01, "t_end": 0.03,
+                                      "snapshot_times": [0.01, 0.03]}
+    assert manifest["outputs"] == ["snap_t0.01.csv", "snap_t0.03.csv", "evolve_report.json"]
     # the snapshot writes are timed apart from the integration
     assert set(manifest["timings"]) == {"integration", "write"}
     assert manifest["timings"]["integration"] == report["wall_time"]

@@ -365,6 +365,18 @@ def test_2f1_keeps_its_limit_at_minus_infinity():
     assert hyp2f1(1.3, 0.63, 0.5, -math.inf).value == 0.0
 
 
+@pytest.mark.parametrize("cap, call, name", [
+    ("_MAX_TERMS_1F1", lambda z: hyp1f1(0.5, 1.5, z), "1F1(0.5, 1.5, z)"),
+    ("_MAX_TERMS_2F1", lambda z: hyp2f1(1.3, 0.63, 0.5, z), "2F1(1.3, 0.63; 0.5; z)"),
+], ids=["1f1", "2f1"])
+def test_series_cap_raises_no_convergence_naming_the_function(monkeypatch, cap, call, name):
+    # the near-branch Taylor series stops at its cap and reports the terms it summed
+    monkeypatch.setattr(oracles, cap, 3)
+    with pytest.raises(NoConvergence) as info:
+        call(np.array([-0.5, -10.0]))
+    assert str(info.value) == f"{name} failed its convergence bound within 3 terms"
+
+
 # ----------------------------------------------------------------------------
 # closed-form fractional Laplacian references
 # ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Mode products, eigenvalue-sum tensors, CSV round trips."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -440,6 +441,25 @@ def test_field_csv_read_rejects_column_mismatch(tmp_path):
     with open(sidecar, "w") as fh:
         fh.write('{"shape": [4]}\n')
     with pytest.raises(ValueError):
+        read_field_csv(path)
+
+
+def test_field_csv_read_refuses_a_sidecar_without_a_shape(tmp_path):
+    path = tmp_path / "e.csv"
+    sidecar = write_field_csv(path, np.zeros((2, 2)))
+    with open(sidecar, "w") as fh:
+        fh.write("{}\n")
+    with pytest.raises(ValueError, match=re.escape(f"sidecar '{sidecar}' must hold")):
+        read_field_csv(path)
+
+
+def test_field_csv_read_refuses_a_fractional_shape_entry(tmp_path):
+    # int(2.7) would read this 2-row file as shape (2,)
+    path = tmp_path / "f.csv"
+    sidecar = write_field_csv(path, np.zeros(2))
+    with open(sidecar, "w") as fh:
+        fh.write('{"shape": [2.7]}\n')
+    with pytest.raises(ValueError, match=re.escape(f"sidecar '{sidecar}' must hold") + ".* integer entries"):
         read_field_csv(path)
 
 
