@@ -30,8 +30,8 @@ def checked_exponent(p: float) -> float:
 
 
 def checked_dimension(n: int) -> int:
-    """The space dimension n as an int, n >= 1; numpy integers are accepted."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """The space dimension n as an int, n >= 1; numpy integers are accepted, bools are not."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     return int(n)
 

@@ -247,14 +247,11 @@ def _cmd_evolve(args) -> int:
     t0 = time.perf_counter()
     snapshots = run_evolution(config, u0)
     wall = time.perf_counter() - t0
-    x = grids[0].x
-    mid = (config.N - 1) // 2
-    section_idx = (slice(None),) + (mid,) * (config.n - 1)
     outputs = []
     t0 = time.perf_counter()
     for name, snap in zip(names, snapshots):
         write_csv(args.out_dir / name, ["x", "u", "r", "v"],
-                  [x, snap.U[section_idx], snap.section_r, snap.section_v])
+                  [grids[0].x, snap.section_u, snap.section_r, snap.section_v])
         outputs.append(name)
     t_write = time.perf_counter() - t0
     masses = [[snap.t, snap.mass] for snap in snapshots]

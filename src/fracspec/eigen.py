@@ -88,6 +88,13 @@ class SpectralFactor:
             a.flags.writeable = False
         return lam, padded[:m], Pinv, padded
 
+    @cached_property
+    def Pinv_fold(self) -> np.ndarray:
+        """Read-only ``Pinv_even diag(mu)``: the top rows of a mirror-symmetric vector to its even modes."""
+        A = self.Pinv_even * _fold_weights(self.N)
+        A.flags.writeable = False
+        return A
+
     lam_odd = property(lambda self: self._odd[0])
     P_odd = property(lambda self: self._odd[1])
     Pinv_odd = property(lambda self: self._odd[2])
@@ -137,18 +144,20 @@ def _symmetric_block(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _fold_weights(N: int) -> np.ndarray:
+    """mu: 2 on the floor(N/2) paired top rows, for themselves and their mirror images, 1 on a middle row."""
+    return np.where(np.arange((N + 1) // 2) < N // 2, 2.0, 1.0)
+
+
 def _folded_rows(grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The top h rows of ``Dxx`` folded by parity, the similarity g and the row weights.
 
     The even block of ``Dxx`` is the top-left h x h of the folded rows, the
     odd block their top-right m x m.
     """
-    h, m = (grid.N + 1) // 2, grid.N // 2
     folded = parity_fold(top_diff_rows(grid)[1], 1)
-    # mirror-extended rows i < m count twice in a norm, a middle row once
-    mult = np.full(h, 2.0)
-    mult[m:] = 1.0
-    g = np.sin(grid.xi[:h]) * np.sqrt(2.0 / mult)
+    mult = _fold_weights(grid.N)  # mirror-extended rows count twice in a norm
+    g = np.sin(grid.xi[:len(mult)]) * np.sqrt(2.0 / mult)
     return folded, g, mult
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -86,11 +86,12 @@ class SelfSimilarParams:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """State recorded at one time: full field, mass, rescaled 1-D section."""
+    """State recorded at one time: full field, mass, the 1-D section ``section_u`` and its rescaled image."""
 
     t: float
     U: np.ndarray
     mass: float
+    section_u: np.ndarray
     section_r: np.ndarray
     section_v: np.ndarray
 
@@ -204,8 +205,7 @@ def run_evolution(config: EvolutionConfig, u0: np.ndarray) -> list[Snapshot]:
         min(total_steps, round(t / config.dt)) for t in config.snapshot_times
     ]
     x = grids[0].x
-    mid = (config.N - 1) // 2
-    section_idx = (slice(None),) + (mid,) * (config.n - 1)
+    section_idx = (slice(None),) + ((config.N - 1) // 2,) * (config.n - 1)  # middle node of every other axis
 
     snapshots: list[Snapshot] = []
 
@@ -216,7 +216,7 @@ def run_evolution(config: EvolutionConfig, u0: np.ndarray) -> list[Snapshot]:
         section = np.array(U[section_idx], dtype=float)
         r, v = rescale_section(x, section, mass, t, params, config.p, config.s)
         snapshots.append(
-            Snapshot(t=t, U=U, mass=mass, section_r=r, section_v=v)
+            Snapshot(t=t, U=U, mass=mass, section_u=section, section_r=r, section_v=v)
         )
 
     u = orbits.fold(u0)
@@ -262,40 +262,38 @@ def section_overlap_distance(
     return worst
 
 
-_CONFIG_KEYS = {"n", "s", "p", "N", "L", "dt", "t_end", "snapshot_times"}
+# how load_config reads each field annotation of EvolutionConfig, and what it asks for
+_CONFIG_VALUES = {"int": (int, "an integer"), "float": (float, "a number"),
+                  "tuple[float, ...]": (lambda text: tuple(float(t) for t in text.split(",") if t.strip()),
+                                        "comma-separated numbers")}
 
 
 def load_config(path: str | Path) -> EvolutionConfig:
     """Read a flat key=value config file into an EvolutionConfig.
 
     Lines starting with '#' and blank lines are skipped; snapshot_times is
-    a comma-separated list.  Unknown or missing keys are errors.
+    a comma-separated list.  Every error names the file, and the line of an
+    unknown or duplicate key or of a value of the wrong type.
     """
-    raw: dict[str, str] = {}
+    kinds = {f.name: _CONFIG_VALUES[f.type] for f in fields(EvolutionConfig)}
+    values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
-    missing = _CONFIG_KEYS - raw.keys()
+        read, what = kinds[key]
+        try:
+            values[key] = read(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} must be {what}, got {value!r}") from None
+    missing = kinds.keys() - values.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    times = tuple(float(tok) for tok in raw["snapshot_times"].split(",") if tok.strip())
-    return EvolutionConfig(
-        n=int(raw["n"]),
-        s=float(raw["s"]),
-        p=float(raw["p"]),
-        N=int(raw["N"]),
-        L=float(raw["L"]),
-        dt=float(raw["dt"]),
-        t_end=float(raw["t_end"]),
-        snapshot_times=times,
-    )
+    return EvolutionConfig(**values)

@@ -15,10 +15,10 @@ factor's order, the even ones and then the odd ones.
 ``apply_fraclap`` runs under ``on_mirror_half``, which hands it the top
 ceil(N/2) rows of every axis along which the field equals its own
 reflection and copies the output's bottom rows from its top ones.  The odd
-half of such an axis is zero, so with its paired rows doubled, as the even
-half of ``parity_fold`` would hold them, the axis runs one mode product
-with the even block each way.  On a plane mirrored along both axes this is
-a quarter of the mode-product work.
+half of such an axis is zero, so the axis runs one mode product each way,
+with the factor's ``Pinv_fold``, which weighs each paired row for itself
+and its mirror image, and with ``P_even``.  On a plane mirrored along both
+axes this is a quarter of the mode-product work.
 """
 
 from __future__ import annotations
@@ -123,15 +123,15 @@ def _other(buffers: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
 def _to_modes(factors: Sequence[SpectralFactor], U: np.ndarray, mirrored: Sequence[bool] = ()) -> np.ndarray:
     """``to_eigenbasis``, with the even half alone on the axes flagged in ``mirrored``.
 
-    On each such axis U holds only the even half of ``parity_fold`` and
-    the result only the even modes, one product with ``Pinv_even``; the
-    other axes run both halves.
+    On each such axis U holds only the top ceil(N/2) rows and the result
+    only the even modes, one product with ``Pinv_fold``; the other axes run
+    both halves.
     """
     buffers = np.empty(U.shape), np.empty(U.shape)
     for axis, (f, m) in enumerate(zip(factors, mirrored or [False] * len(factors))):
         Y = _other(buffers, U)
         if m:
-            U = mode_product(f.Pinv_even, U, axis, out=Y)
+            U = mode_product(f.Pinv_fold, U, axis, out=Y)
         else:
             U = _half_products(f.Pinv_even, f.Pinv_odd, parity_fold(U, axis, out=Y), axis, _other(buffers, Y))
     return U
@@ -175,10 +175,6 @@ def apply_fraclap(op: FracLapOperator, U: np.ndarray) -> np.ndarray:
     """
 
     def on_half(V: np.ndarray, mirrored: tuple[bool, ...]) -> np.ndarray:
-        if any(mirrored):  # the even half of parity_fold, equal to it under ==: paired rows doubled
-            V = V.copy()
-        for axis in (axis for axis, m in enumerate(mirrored) if m):
-            V[(slice(None),) * axis + (slice(op.shape[axis] // 2),)] *= 2.0
         tilde = _to_modes(op.factors, V, mirrored)
         tilde *= op.pow_even if all(mirrored) else op.pow_tensor[tuple(slice(h) for h in V.shape)]
         return _from_modes(op.factors, tilde, mirrored)

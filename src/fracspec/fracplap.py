@@ -81,20 +81,15 @@ class FracPOperator:
     def pow_tensor(self) -> np.ndarray:
         return _power_tensor([f.lam for f in self.factors], self.scales, 0.5 * self.s * self.p)
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only ``quad_mass`` weights 1/sin(xi)**2, multiplied across axes, column-major flat."""
-        w = reduce(np.kron, [1 / np.sin(make_grid(f.N, 1.0).xi) ** 2 for f in self.factors[::-1]])
-        w.flags.writeable = False
-        return w
-
 
 @dataclass(frozen=True)
 class Orbits:
     """The orbits of a symmetry group of the grid, one representative each.
 
     ``reps`` holds the column-major flat grid index of each orbit's
-    representative, ascending, ``mult`` the orbit sizes as floats, and
+    representative, ascending, ``mult`` the orbit sizes mu_O as floats,
+    ``weight`` the orbit weights mu_O w_O, with w the ``quad_mass`` weights
+    1/sin(xi)**2 multiplied across axes in ``np.kron``'s order, and
     ``index``, shaped like the grid, the position in ``reps`` of every grid
     point's orbit.  Under the mirrors every representative lies in the top
     ceil(N/2) rows of each axis, and under the swap its first index is at
@@ -105,6 +100,7 @@ class Orbits:
     shape: tuple[int, ...]
     reps: np.ndarray
     mult: np.ndarray
+    weight: np.ndarray
     index: np.ndarray
 
     @property
@@ -145,39 +141,36 @@ def grid_orbits(shape: Sequence[int], group: str) -> Orbits:
     position[reps] = np.arange(len(reps))
     index = position[key]
     mult = np.bincount(index.ravel(), minlength=len(reps)).astype(float)
-    orbits = Orbits(group, shape, reps, mult, index)
-    for a in (orbits.reps, orbits.mult, orbits.index):
+    at_reps = np.unravel_index(reps, shape, order="F")[::-1]
+    w = reduce(np.multiply, [(1 / np.sin(make_grid(N, 1.0).xi) ** 2)[i] for N, i in zip(shape[::-1], at_reps)])
+    orbits = Orbits(group, shape, reps, mult, mult * w, index)
+    for a in (orbits.reps, orbits.mult, orbits.weight, orbits.index):
         a.flags.writeable = False
     return orbits
-
-
-def invariant_group(U: np.ndarray) -> tuple[str, str]:
-    """The largest of ``GROUPS`` that leaves U unchanged under ``==``, and why.
-
-    As in ``mirror_axes``, +0 and -0 count as equal.
-    """
-    U = np.asarray(U, dtype=float)
-    mirrored = mirror_axes(U)
-    if not all(mirrored):
-        return "none", f"the field is not mirror-symmetric along axis {mirrored.index(False)}"
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        return "mirror", "the field is mirror-symmetric along every axis"
-    if not np.array_equal(U, U.T):
-        return "mirror", "the field is mirror-symmetric along both axes but not swap-symmetric"
-    return "mirror+swap", "the field is mirror-symmetric along both axes and swap-symmetric"
 
 
 def invariant_orbits(U: np.ndarray, scales: Sequence[float]) -> tuple[Orbits, dict]:
     """The orbits every p-Laplacian evaluation of U folds onto, and a record of the choice.
 
-    The group is ``invariant_group(U)``'s, less the axis swap unless both
-    map scales are equal, which makes the swap a symmetry of the operator.
-    The record names the group and why, the number of representatives and
-    the bytes of the folded kernel.
+    The group is the largest of ``GROUPS`` that leaves U unchanged under
+    ``==`` (as in ``mirror_axes``, +0 and -0 count as equal) and commutes
+    with the operator: the axis swap needs a square plane and equal map
+    scales.  The record names the group and why, the number of
+    representatives and the bytes of the folded kernel.
     """
-    group, reason = invariant_group(U)
-    if group == "mirror+swap" and scales[0] != scales[1]:
-        group, reason = "mirror", f"{reason}, but the scales {tuple(scales)} differ"
+    U = np.asarray(U, dtype=float)
+    mirrored = mirror_axes(U)
+    both = "the field is mirror-symmetric along both axes"
+    if not all(mirrored):
+        group, reason = "none", f"the field is not mirror-symmetric along axis {mirrored.index(False)}"
+    elif U.ndim != 2 or U.shape[0] != U.shape[1]:
+        group, reason = "mirror", "the field is mirror-symmetric along every axis"
+    elif not np.array_equal(U, U.T):
+        group, reason = "mirror", f"{both} but not swap-symmetric"
+    elif scales[0] != scales[1]:
+        group, reason = "mirror", f"{both} and swap-symmetric, but the scales {tuple(scales)} differ"
+    else:
+        group, reason = "mirror+swap", f"{both} and swap-symmetric"
     orbits = grid_orbits(np.shape(U), group)
     return orbits, {"group": group, "group_reason": reason,
                     "representatives": len(orbits.reps), "kernel_bytes": orbits.kernel_bytes}
@@ -284,8 +277,7 @@ def _kernel_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndar
     a:b of the kernel.
     """
     n = len(op.shape)
-    reps = orbits.reps[a:b]
-    idx = np.unravel_index(reps, op.shape, order="F")
+    idx = np.unravel_index(orbits.reps[a:b], op.shape, order="F")
     mirrored = orbits.group != "none"
     # the mirror column sums keep the even modes on the top half of every axis
     power = op.pow_even if mirrored else op.pow_tensor
@@ -294,16 +286,14 @@ def _kernel_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndar
     dims = (b - a,) + side[::-1]
     G = np.empty(dims) if orbits.group == "mirror+swap" else out.reshape(dims)
     work = np.empty_like(G)
-    np.multiply((op.c_const * orbits.mult[a:b] * op.weights[reps]).reshape(-1, *(1,) * n), power.T, out=G)
+    np.multiply((op.c_const * orbits.weight[a:b]).reshape(-1, *(1,) * n), power.T, out=G)
     for k, (f, i) in enumerate(zip(op.factors, idx)):
         axis = n - k
         shape = [b - a] + [1] * n
         shape[axis] = side[k]
         if mirrored:
             G *= f.P_even[i].reshape(shape)
-            G, work = mode_product(f.Pinv_even.T, G, axis, out=work), G
-            # a paired column stands for itself and its mirror image
-            G *= np.where(np.arange(side[k]) < f.N // 2, 2.0, 1.0).reshape(shape[1:])
+            G, work = mode_product(f.Pinv_fold.T, G, axis, out=work), G
         else:
             G *= f.rows(i).reshape(shape)
             parity_unfold(_half_products(f.Pinv_even.T, f.Pinv_odd.T, G, axis, work), axis, out=G)
@@ -353,7 +343,7 @@ def apply_folded(op: FracPOperator, orbits: Orbits, u: np.ndarray, kernel: np.nd
         T = signed_power(u[a:b, None] - u[a:], op.p) * rows
         out[a:b] += T.sum(1)
         out[b:] -= T[:, b - a:].sum(0)
-    return out / (orbits.mult * op.weights[orbits.reps])
+    return out / orbits.weight
 
 
 def apply_plap(op: FracPOperator, U: np.ndarray) -> np.ndarray:

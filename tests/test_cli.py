@@ -481,6 +481,22 @@ def test_evolve_missing_config_exits_one(tmp_path):
     assert "parameter error" in proc.stderr
 
 
+@pytest.mark.parametrize("good, bad, message", [
+    ("N = 24", "N = 2.5", "4: N must be an integer, got '2.5'"),
+    ("dt = 0.01", "dt = 1e-3x", "6: dt must be a number, got '1e-3x'"),
+    ("snapshot_times = 0.01,0.03", "snapshot_times = 0.1,zz",
+     "8: snapshot_times must be comma-separated numbers, got '0.1,zz'"),
+], ids=["int", "float", "times"])
+def test_evolve_bad_config_value_names_the_file_line_and_key(tmp_path, good, bad, message):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(TINY_CFG.replace(good, bad))
+    out_dir = tmp_path / "out"
+    proc = run_cli("evolve", "--config", str(cfg), "--out-dir", str(out_dir))
+    assert proc.returncode == 1
+    assert proc.stderr == f"parameter error: {cfg}:{message}\n"
+    assert list(out_dir.iterdir()) == []
+
+
 # ----------------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------------

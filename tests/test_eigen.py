@@ -92,9 +92,24 @@ def test_factorization_is_deterministic():
 
 def test_factor_arrays_are_read_only():
     f = factorize(make_grid(8, 1.0))
-    for arr in (f.P, f.Pinv, f.lam, f.P_even, f.P_odd, f.Pinv_even, f.Pinv_odd):
+    for arr in (f.P, f.Pinv, f.lam, f.P_even, f.P_odd, f.Pinv_even, f.Pinv_odd, f.Pinv_fold):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("N", [2, 3, 16, 17])
+def test_fold_inverse_weighs_the_paired_rows_twice(N):
+    f = factorize(make_grid(N, 1.0))
+    h = (N + 1) // 2
+    mu = np.where(np.arange(h) < N // 2, 2.0, 1.0)
+    assert np.array_equal(f.Pinv_fold, f.Pinv_even * mu)
+    assert f.Pinv_fold is f.Pinv_fold
+    with pytest.raises(ValueError):
+        f.Pinv_fold[0, 0] = 0.0
+    # it maps the top rows of a mirror-symmetric vector to its even modes
+    v = np.random.default_rng(N).standard_normal(N)
+    v += v[::-1]
+    assert np.allclose(f.Pinv_fold @ v[:h], (f.Pinv @ v)[:h], rtol=0, atol=1e-12 * np.max(np.abs(v)))
 
 
 def _recorded_eigh(monkeypatch):

@@ -33,7 +33,6 @@ from fracspec.fracplap import (
     apply_folded,
     folded_kernel,
     grid_orbits,
-    invariant_group,
     invariant_orbits,
 )
 from fracspec.tensor_ops import mode_product
@@ -91,6 +90,17 @@ def test_config_validates_every_field(field, value):
 def test_config_refuses_an_infinite_exponent():
     with pytest.raises(ValueError, match="p must be finite"):
         small_config(p=math.inf)
+
+
+def test_dimension_rule_refuses_a_bool():
+    from fracspec.checks import checked_dimension
+
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {bad}"):
+            checked_dimension(bad)
+    with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+        small_config(n=True)
+    assert checked_dimension(np.int64(1)) == 1
 
 
 # ----------------------------------------------------------------------------
@@ -441,7 +451,7 @@ def test_symmetric_start_evolves_the_orbits(monkeypatch, n, N, p, group):
     assert built == [group]  # one kernel, the folded one, never the full one
     want = full_route_run(cfg, u0, 3)
     for a, U in zip(snaps, (want[0], want[2])):
-        assert invariant_group(a.U)[0] == group
+        assert invariant_orbits(a.U, [cfg.L] * cfg.n)[0].group == group
         # at p < 2 the full route's rounding drifts out of symmetry, so the
         # folded run may differ from it by as much as its images differ
         images = [np.flip(U, axis) for axis in range(n)] + [U.T] * (n == 2)
@@ -458,6 +468,7 @@ def test_plane_section_cuts_through_the_middle():
     r, v = rescale_section(
         grids[0].x, snap.U[:, 4], snap.mass, snap.t, params, cfg.p, cfg.s
     )
+    assert np.array_equal(snap.section_u, snap.U[:, 4])
     assert np.array_equal(snap.section_r, r)
     assert np.array_equal(snap.section_v, v)
 
@@ -546,6 +557,20 @@ def test_load_config_requires_every_key(tmp_path):
     path = tmp_path / "short.cfg"
     path.write_text("n = 1\ns = 0.5\n")
     with pytest.raises(ValueError, match="missing"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("line,value,message", [
+    (6, "N = 2.5", "N must be an integer, got '2.5'"),
+    (8, "dt = 1e-3x", "dt must be a number, got '1e-3x'"),
+    (10, "snapshot_times = 0.1,zz", "snapshot_times must be comma-separated numbers, got '0.1,zz'"),
+], ids=["int", "float", "times"])
+def test_load_config_names_the_file_and_key_of_a_bad_value(tmp_path, line, value, message):
+    lines = GOOD.splitlines()
+    lines[line - 1] = value
+    path = tmp_path / "typo.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
         load_config(path)
 
 

@@ -1,5 +1,6 @@
 """Fractional Laplacian operator: spectral powers, application, accuracy."""
 
+import copy
 import functools
 import itertools
 
@@ -236,6 +237,33 @@ def test_folded_apply_matches_the_general_transport(dims):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), np.max(np.abs(U)))
         for axis in np.flatnonzero(mask):
             assert np.array_equal(got, np.flip(got, axis))
+
+
+@pytest.mark.parametrize("dims,axes", [
+    ((16, 17), (1,)), ((16, 17), (0, 1)), ((6, 7, 8), (2,)), ((6, 7, 8), (0, 1, 2)),
+])
+def test_folded_apply_reads_a_read_only_field_and_keeps_the_doubled_row_bits(dims, axes):
+    # the same bits as Pinv_even on a copy of the top rows with the paired rows doubled
+    op = build_fraclap(build_axis_factors(dims), [2.0 + 0.3 * k for k in range(len(dims))], 0.4)
+    U = np.random.default_rng(4).standard_normal(dims)
+    for axis in axes:
+        U = U + np.flip(U, axis)
+    U.flags.writeable = False
+    before = U.copy()
+    got = apply_fraclap(op, U)
+    assert np.array_equal(U, before)
+    mirrored = [axis in axes for axis in range(len(dims))]
+    V = U[tuple(slice((N + 1) // 2) if m else slice(None) for N, m in zip(dims, mirrored))].copy()
+    doubled = []
+    for axis, (f, m) in enumerate(zip(op.factors, mirrored)):
+        doubled.append(copy.copy(f))
+        if m:
+            V[(slice(None),) * axis + (slice(f.N // 2),)] *= 2.0
+            doubled[-1].__dict__["Pinv_fold"] = f.Pinv_even  # read in place of the property
+    tilde = fracspec.fraclap._to_modes(doubled, V, mirrored)
+    tilde *= op.pow_even if all(mirrored) else op.pow_tensor[tuple(slice(n) for n in V.shape)]
+    want = fracspec.fraclap._from_modes(op.factors, tilde, mirrored)
+    assert np.array_equal(got[tuple(slice(n) for n in want.shape)], want)
 
 
 @pytest.mark.parametrize("dims", [(16,), (17,), (16, 17), (3, 4, 5)])

@@ -3,6 +3,7 @@
 Reference constants were computed once at 40 digits and frozen as literals.
 """
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -30,7 +31,6 @@ from fracspec.fracplap import (
     apply_folded,
     folded_kernel,
     grid_orbits,
-    invariant_group,
     invariant_orbits,
 )
 from fracspec.tensor_ops import mode_product
@@ -232,7 +232,7 @@ def test_pointwise_and_batched_routes_agree(dims, scales, s, p, field):
     b = apply_plap(op, U)
     assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
     # the output is exactly invariant under the group the apply folded onto
-    assert invariant_group(b)[0] == invariant_orbits(U, scales)[0].group
+    assert invariant_orbits(b, scales)[0].group == invariant_orbits(U, scales)[0].group
 
 
 def test_constant_field_maps_to_exact_zero():
@@ -342,14 +342,16 @@ def test_contractions_run_at_half_size_without_dense_factors(monkeypatch):
     assert sorted(set(sides)) == [4, 5]  # ceil(9/2), floor(9/2) and 8/2
 
 
-def test_weights_are_cached_read_only_quadrature_weights():
-    op = build_fracplap(build_axis_factors((5, 4)), (2.0, 3.0), 0.5, 1.7)
-    w = op.weights
-    assert op.weights is w
-    want = np.kron(1 / np.sin(make_grid(4, 1.0).xi) ** 2, 1 / np.sin(make_grid(5, 1.0).xi) ** 2)
-    assert np.array_equal(w, want)
+@pytest.mark.parametrize("shape,group", [
+    ((5, 4), "none"), ((5, 4), "mirror"), ((5, 5), "mirror+swap"), ((6, 6), "mirror+swap"), ((3, 4, 5), "mirror"),
+])
+def test_orbit_weights_are_orbit_sizes_times_the_kron_quadrature_weights(shape, group):
+    orbits = grid_orbits(shape, group)
+    # quad_mass's 1/sin(xi)**2 per axis, multiplied across axes, column-major flat
+    w = functools.reduce(np.kron, [1 / np.sin(make_grid(N, 1.0).xi) ** 2 for N in shape[::-1]])
+    assert np.array_equal(orbits.weight, orbits.mult * w[orbits.reps])
     with pytest.raises(ValueError):
-        w[0] = 1.0
+        orbits.weight[0] = 1.0
 
 
 def test_scaling_contract_1d():
@@ -456,19 +458,31 @@ def test_swap_needs_a_square_plane_with_common_scales():
         apply_folded(op, grid_orbits((6, 5), "mirror"), np.zeros(9), None)
 
 
-def test_invariant_group_is_the_largest_bitwise_symmetry():
+def test_invariant_orbits_take_the_largest_bitwise_symmetry():
+    def group(grids):
+        return invariant_orbits(gaussian_field(grids), [g.L for g in grids])[1]["group"]
+
+    def reason(U):
+        return invariant_orbits(U, (2.0,) * U.ndim)[1]["group_reason"]
+
     g = make_grid(9, 2.0)
-    assert invariant_group(gaussian_field([g]))[0] == "mirror"
-    assert invariant_group(gaussian_field([g, g]))[0] == "mirror+swap"
-    assert invariant_group(gaussian_field([g, make_grid(9, 2.5)]))[0] == "mirror"
-    assert invariant_group(gaussian_field([g, make_grid(10, 2.0)]))[0] == "mirror"
-    assert invariant_group(gaussian_field([g] * 3))[0] == "mirror"
+    assert group([g]) == "mirror"
+    assert group([g, g]) == "mirror+swap"
+    assert group([g, make_grid(9, 2.5)]) == "mirror"
+    assert group([g, make_grid(10, 2.0)]) == "mirror"
+    assert group([g] * 3) == "mirror"
+    # a plane mirror-symmetric along both axes and swap-symmetric on unequal scales keeps the mirrors
     U = gaussian_field([g, g])
+    assert invariant_orbits(U, (2.0, 2.5))[1]["group"] == "mirror"
+    assert reason(gaussian_field([g])) == "the field is mirror-symmetric along every axis"
+    assert reason(U) == "the field is mirror-symmetric along both axes and swap-symmetric"
     U[1, 0] = np.nextafter(U[1, 0], 1.0)
-    assert invariant_group(U) == ("none", "the field is not mirror-symmetric along axis 0")
+    assert invariant_orbits(U, (2.0, 2.0))[1]["group"] == "none"
+    assert reason(U) == "the field is not mirror-symmetric along axis 0"
     U = gaussian_field([g, g])
     U[1, 0], U[-2, 0], U[1, -1], U[-2, -1] = (np.nextafter(U[1, 0], 1.0),) * 4
-    assert invariant_group(U)[0] == "mirror"
+    assert invariant_orbits(U, (2.0, 2.0))[1]["group"] == "mirror"
+    assert reason(U) == "the field is mirror-symmetric along both axes but not swap-symmetric"
 
 
 def test_invariant_orbits_drop_the_swap_unless_the_scales_agree():
@@ -476,11 +490,13 @@ def test_invariant_orbits_drop_the_swap_unless_the_scales_agree():
     U = gaussian_field([g, g])
     orbits, route = invariant_orbits(U, (2.0, 2.0))
     assert orbits.group == "mirror+swap"
-    assert route == {"group": "mirror+swap", "group_reason": invariant_group(U)[1],
+    assert route == {"group": "mirror+swap",
+                     "group_reason": "the field is mirror-symmetric along both axes and swap-symmetric",
                      "representatives": 15, "kernel_bytes": 8 * 15**2}
     orbits, route = invariant_orbits(U, (2.0, 2.5))
     assert orbits.group == route["group"] == "mirror"
-    assert route["group_reason"].endswith("but the scales (2.0, 2.5) differ")
+    assert route["group_reason"] == ("the field is mirror-symmetric along both axes and "
+                                     "swap-symmetric, but the scales (2.0, 2.5) differ")
     assert route["representatives"] == len(orbits.reps) == 25
 
 
@@ -506,8 +522,7 @@ def test_folded_operator_matches_the_full_one_on_invariant_fields(dims, group, p
     u = apply_folded(op, orbits, orbits.fold(U), B)
     assert np.max(np.abs(orbits.unfold(u) - full)) <= 1e-12 * np.max(np.abs(full))
     # discrete mass: B symmetric and the odd power antisymmetric
-    mu_w = orbits.mult * op.weights[orbits.reps]
-    assert abs(np.sum(mu_w * u)) <= 1e-15 * np.sum(mu_w * np.abs(u))
+    assert abs(np.sum(orbits.weight * u)) <= 1e-15 * np.sum(orbits.weight * np.abs(u))
     assert np.array_equal(apply_folded(op, orbits, orbits.fold(U), None), u)
 
 
@@ -519,7 +534,7 @@ def test_trivial_fold_is_the_full_kernel():
     # W * c_const * P diag(pow_tensor) P^-1 over column-major flat indices
     f0, f1 = op.factors
     dense = np.kron(f1.P, f0.P) @ (op.pow_tensor.ravel(order="F")[:, None] * np.kron(f1.Pinv, f0.Pinv))
-    A = op.c_const * op.weights[:, None] * dense
+    A = op.c_const * orbits.weight[:, None] * dense
     assert np.max(np.abs(K - A)) <= 1e-13 * np.max(np.abs(A))
     # held kernel and rebuilt rows: the same blocks, the same bits
     U = np.random.default_rng(12).standard_normal(dims)
