@@ -296,4 +296,7 @@ def load_config(path: str | Path) -> EvolutionConfig:
     missing = kinds.keys() - values.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return EvolutionConfig(**values)
+    try:
+        return EvolutionConfig(**values)
+    except ValueError as exc:  # a range check of the assembled config
+        raise ValueError(f"{path}: {exc}") from None

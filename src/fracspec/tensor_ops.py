@@ -8,10 +8,11 @@ axis and copies the result into the bottom half, and ``write_field_csv``
 formats each value that a bitwise mirror repeats only once.
 
 Where a flat ordering matters (the field CSV rows) the convention is first
-index fastest, i.e. column-major: ``numpy.ravel(A, order='F')``.  ``_VALUE``
-is the one CSV number format, and ``_fill`` fills a chunk of row templates
-with one ``%``.  ``write_field_csv`` and ``read_field_csv`` add the field
-layout (1-based index columns, a JSON shape sidecar) on top of it.
+index fastest, i.e. column-major: ``numpy.ravel(A, order='F')``.  CSV files
+are written as bytes: ``_VALUE`` is the one number format, and ``_fill``
+fills a chunk of row templates with one ``%``.  ``write_field_csv`` and
+``read_field_csv`` add the field layout (1-based index columns, a JSON
+shape sidecar) on top of it.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .errors import PositiveEntry
 # range before a fractional power of the negated tensor is refused
 _POSITIVE_TOL = 1e-12
 
-# rows formatted per write call; bounds the size of the joined string
+# rows formatted per write call; bounds the size of the joined text
 _CSV_CHUNK_ROWS = 65536
 # the one number format of every CSV float: 17 significant digits
-_VALUE = "%.17g"
+_VALUE = b"%.17g"
 
 
 def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -206,9 +207,9 @@ def write_csv(path: str | os.PathLike, names: Sequence[str], columns: Sequence[n
     Integer columns print as integers and float columns with 17 significant
     digits, enough to read every double back bitwise; lines end in ``\\n``.
     """
-    row = ",".join("%d" if c.dtype.kind in "iu" else _VALUE for c in columns) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
+    row = b",".join(b"%d" if c.dtype.kind in "iu" else _VALUE for c in columns) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(",".join(names).encode() + b"\n")
         for a in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             chunk = [c[a:a + _CSV_CHUNK_ROWS] for c in columns]
             fh.write(_fill(row * len(chunk[0]), chunk))
@@ -221,11 +222,14 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
     index tuple, first index fastest, to the all-ones tuple.  The index text
     is formatted once per shape: a template holds one sweep of the leading
     axes that fit in a chunk, with ``@`` for the trailing indices written in
-    per sweep.  A field that equals its reflection bit for bit along some
-    axis formats each mirror-distinct value once (``_MirrorText``) and
-    fills the template with those strings; any other field is filled from
-    its floats.  Either way the bytes are those of ``"%d,...,%.17g\\n" %
-    row``.  A JSON sidecar ``<path stem>.json`` records the shape, so
+    per sweep.  All text is bytes, and each chunk of rows is filled with
+    one ``%``.  A field that equals its reflection bit for bit along some
+    axis formats the values of its mirror box, which holds every value
+    once, into one fixed-width ``S24`` array, one ``%`` per chunk, and
+    fills the ``%s`` fields of a chunk from that array at the rows' box
+    positions (``_box_position``); any other field fills ``%.17g`` fields
+    from its floats.  Either way the bytes are those of ``"%d,...,%.17g\\n"
+    % row``.  A JSON sidecar ``<path stem>.json`` records the shape, so
     ``path`` must not end in ``.json``.  Returns the sidecar path.
     """
     arr = np.asarray(arr, dtype=float)
@@ -240,58 +244,41 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
     # compared as bits, as -0 and 0 are equal under == but print differently;
     # a length-1 axis is its own mirror and repeats nothing
     mirrored = [m and N > 1 for N, m in zip(shape, mirror_axes(arr.view(np.uint64)))]
-    distinct = _MirrorText(arr, mirrored, lead) if any(mirrored) else None
-    values = None if distinct else arr.ravel(order="F")[::-1]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(f"i{k + 1}" for k in range(len(shape))) + ",value\n")
-        template = "".join(f"{t}@{'%s' if distinct else _VALUE}\n" for t in _index_text(shape[:lead]))
+    if any(mirrored):
+        # along a mirrored axis of length N the box i >= N // 2 holds every value
+        box = arr[tuple(slice(N // 2 if m else 0, None) for N, m in zip(shape, mirrored))]
+        flat = box.ravel(order="F")
+        # a %.17g takes at most 24 bytes (a sign, 17 digits, a point and e-308);
+        # the array would cut a longer one silently
+        text = np.empty(flat.size, "S24")
+        for b in range(0, flat.size, _CSV_CHUNK_ROWS):
+            chunk = flat[b:b + _CSV_CHUNK_ROWS]
+            text[b:b + chunk.size] = ((_VALUE + b"\n") * chunk.size % tuple(chunk.tolist())).split(b"\n")[:-1]
+        # a row's box position is its leading part plus stride times its trailing part
+        stride = math.prod(box.shape[:lead])
+        lead_pos = _box_position(shape[:lead], mirrored[:lead], np.arange(rows - 1, -1, -1))
+    else:
+        values = arr.ravel(order="F")[::-1]
+    value = b"%s" if any(mirrored) else _VALUE
+    with open(path, "wb") as fh:
+        fh.write((",".join(f"i{k + 1}" for k in range(len(shape))) + ",value\n").encode())
+        template = b"".join(t + b"@" + value + b"\n" for t in _index_text(shape[:lead]))
         trailing = _index_text(shape[lead:])
         sweeps = _CSV_CHUNK_ROWS // rows
         for a in range(0, arr.size, sweeps * rows):
             count = min(sweeps, (arr.size - a) // rows)
-            chunk = "".join([template.replace("@", t) for t in itertools.islice(trailing, count)])
-            entries = distinct.sweeps(a // rows, count) if distinct else values[a:a + count * rows]
+            chunk = b"".join([template.replace(b"@", t) for t in itertools.islice(trailing, count)])
+            if any(mirrored):
+                top = (arr.size - a) // rows - 1
+                trail = _box_position(shape[lead:], mirrored[lead:], np.arange(top, top - count, -1))
+                entries = text[(stride * trail[:, None] + lead_pos).ravel()]
+            else:
+                entries = values[a:a + count * rows]
             fh.write(_fill(chunk, [entries]))
     with open(sidecar, "w", newline="\n") as fh:
         json.dump({"shape": list(shape)}, fh)
         fh.write("\n")
     return sidecar
-
-
-class _MirrorText:
-    """The value strings of a field's CSV rows, each mirror-distinct value formatted once.
-
-    Along a mirrored axis of length N index i holds the bits of N-1-i, so
-    every value also sits in the box ``i >= N // 2`` of those axes, the
-    orbit member the descending rows reach first.  The box values are
-    formatted in row order, one ``%`` per chunk, and kept as that text;
-    ``sweeps`` splits the chunks a run of sweeps draws on, keeping a split
-    while the next run still draws on it, and gathers each row's string.
-    """
-
-    def __init__(self, arr: np.ndarray, mirrored: Sequence[bool], lead: int):
-        box = arr[tuple(slice(N // 2 if m else 0, None) for N, m in zip(arr.shape, mirrored))]
-        flat = box.ravel(order="F")[::-1]
-        self.text = [(_VALUE + "\n") * len(c) % tuple(c.tolist())
-                     for c in (flat[b:b + _CSV_CHUNK_ROWS] for b in range(0, flat.size, _CSV_CHUNK_ROWS))]
-        self.split: dict[int, np.ndarray] = {}
-        self.last = box.size - 1
-        # a box position is a leading part plus stride times a trailing part
-        rows, self.stride = math.prod(arr.shape[:lead]), math.prod(box.shape[:lead])
-        self.lead_pos = _box_position(arr.shape[:lead], mirrored[:lead], np.arange(rows - 1, -1, -1))
-        self.trailing = arr.shape[lead:], mirrored[lead:]
-
-    def sweeps(self, first: int, count: int) -> np.ndarray:
-        """The strings of sweeps ``first`` to ``first + count - 1`` in row order."""
-        shape, mirrored = self.trailing
-        top = math.prod(shape) - 1 - first
-        trail = _box_position(shape, mirrored, np.arange(top, top - count, -1))
-        # index into the box values in row order, which run backwards through the box
-        pos = ((self.last - self.stride * trail)[:, None] - self.lead_pos).ravel()
-        lo, hi = pos.min() // _CSV_CHUNK_ROWS, pos.max() // _CSV_CHUNK_ROWS + 1
-        self.split = {j: self.split[j] if j in self.split else
-                      np.array(self.text[j].split("\n")[:-1], dtype=object) for j in range(lo, hi)}
-        return np.concatenate([self.split[j] for j in range(lo, hi)])[pos - lo * _CSV_CHUNK_ROWS]
 
 
 def _box_position(shape: Sequence[int], mirrored: Sequence[bool], flat: np.ndarray) -> np.ndarray:
@@ -310,18 +297,18 @@ def _box_position(shape: Sequence[int], mirrored: Sequence[bool], flat: np.ndarr
     return pos
 
 
-def _index_text(shape: tuple[int, ...]) -> Iterator[str]:
-    """Yield ``"i1,...,in,"`` for every index tuple of ``shape``, flat position counting down."""
+def _index_text(shape: tuple[int, ...]) -> Iterator[bytes]:
+    """Yield ``b"i1,...,in,"`` for every index tuple of ``shape``, flat position counting down."""
     if not shape:
-        yield ""
+        yield b""
         return
     # the first axis's text is made a chunk at a time, so no list grows with the field
     for rest in _index_text(shape[1:]):
         for top in range(shape[0], 0, -_CSV_CHUNK_ROWS):
-            yield from [f"{i},{rest}" for i in range(top, max(top - _CSV_CHUNK_ROWS, 0), -1)]
+            yield from [b"%d,%s" % (i, rest) for i in range(top, max(top - _CSV_CHUNK_ROWS, 0), -1)]
 
 
-def _fill(template: str, columns: Sequence[np.ndarray]) -> str:
+def _fill(template: bytes, columns: Sequence[np.ndarray]) -> bytes:
     """Fill the ``%`` fields of ``template`` with the columns' entries, row by row."""
     lists = [c.tolist() for c in columns]
     args = [None] * (len(lists) * len(lists[0]))

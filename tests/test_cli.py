@@ -497,6 +497,21 @@ def test_evolve_bad_config_value_names_the_file_line_and_key(tmp_path, good, bad
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("good, bad, message", [
+    ("s = 0.5", "s = 1.5", "s must lie in (0, 1), got 1.5"),
+    ("snapshot_times = 0.01,0.03", "snapshot_times = 0.01,0.04",
+     "snapshot_times must lie in (0, t_end], got (0.01, 0.04)"),
+], ids=["s", "snapshot-beyond-t_end"])
+def test_evolve_out_of_range_config_value_names_the_file(tmp_path, good, bad, message):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(TINY_CFG.replace(good, bad))
+    out_dir = tmp_path / "out"
+    proc = run_cli("evolve", "--config", str(cfg), "--out-dir", str(out_dir))
+    assert proc.returncode == 1
+    assert proc.stderr == f"parameter error: {cfg}: {message}\n"
+    assert list(out_dir.iterdir()) == []
+
+
 # ----------------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------------

@@ -561,16 +561,19 @@ def test_load_config_requires_every_key(tmp_path):
 
 
 @pytest.mark.parametrize("line,value,message", [
-    (6, "N = 2.5", "N must be an integer, got '2.5'"),
-    (8, "dt = 1e-3x", "dt must be a number, got '1e-3x'"),
-    (10, "snapshot_times = 0.1,zz", "snapshot_times must be comma-separated numbers, got '0.1,zz'"),
-], ids=["int", "float", "times"])
+    (6, "N = 2.5", "6: N must be an integer, got '2.5'"),
+    (8, "dt = 1e-3x", "8: dt must be a number, got '1e-3x'"),
+    (10, "snapshot_times = 0.1,zz", "10: snapshot_times must be comma-separated numbers, got '0.1,zz'"),
+    # a value of the right type out of range has no one line to name
+    (3, "s = 1.5", " s must lie in (0, 1), got 1.5"),
+    (10, "snapshot_times = 0.01, 0.06", " snapshot_times must lie in (0, t_end], got (0.01, 0.06)"),
+], ids=["int", "float", "times", "s-range", "times-beyond-t_end"])
 def test_load_config_names_the_file_and_key_of_a_bad_value(tmp_path, line, value, message):
     lines = GOOD.splitlines()
     lines[line - 1] = value
     path = tmp_path / "typo.cfg"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
         load_config(path)
 
 

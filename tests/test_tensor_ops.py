@@ -321,8 +321,10 @@ def per_row_field_csv(arr):
     return per_row_csv(names, [*indices, arr.ravel(order="F")[::-1]])
 
 
-# -0.0, the smallest subnormal, other subnormals, huge, infinite and nan values
-SPECIAL_VALUES = [-0.0, 5e-324, 2.2e-310, -1.5e-320, 1e300, np.inf, -np.inf, np.nan]
+# -0.0, the smallest subnormal, other subnormals, huge, infinite and nan
+# values, and two whose %.17g takes the most bytes, 24
+SPECIAL_VALUES = [-0.0, 5e-324, 2.2e-310, -1.5e-320, 1e300, np.inf, -np.inf, np.nan,
+                  -1.7976931348623157e+308, -2.2250738585072014e-308]
 
 
 # (70000,), (3, 30000), (1000, 70) and (30, 40, 60) each span more than one
@@ -545,6 +547,24 @@ def test_field_csv_read_holds_only_the_rows_the_field_and_a_mask(tmp_path):
         tracemalloc.stop()
     assert back.tobytes() == field.tobytes()
     assert peak <= 1.1 * budget
+
+
+def test_field_csv_write_holds_less_than_a_fixed_width_array_over_the_field(tmp_path):
+    import tracemalloc
+
+    shape = (1000, 1001)
+    field = mirrored_field(shape, (0, 1), seed=13)
+    assert all(mirror_axes(field.view(np.uint64)))
+    # 24 bytes per entry: a fixed-width array of every value's text, or an
+    # array of str objects, over the whole field would exceed this
+    budget = 24 * field.size
+    tracemalloc.start()
+    try:
+        write_field_csv(tmp_path / "w.csv", field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 @pytest.mark.parametrize(
