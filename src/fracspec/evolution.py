@@ -15,8 +15,10 @@ and with the axis swap when N and L are common, so the exact flow keeps
 every symmetry of u0.  A run therefore evolves one value per orbit of the
 largest group leaving u0 unchanged under ``==`` (``invariant_orbits``; +0
 and -0 count as equal), builds that group's folded kernel once before the
-first step, evaluates every right-hand side with ``fracplap.apply_folded``
-on it, and unfolds to the full field only to record a snapshot.
+first step, circulant-packed so that each pair of orbits is held and
+evaluated once, evaluates every right-hand side with
+``fracplap.apply_folded`` on it, and unfolds to the full field only to
+record a snapshot.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def run_evolution(config: EvolutionConfig, u0: np.ndarray) -> list[Snapshot]:
     ``invariant_orbits``, and every right-hand side is ``apply_folded`` on
     it with the folded kernel, built once before the first step, so a
     kernel too large for memory fails there.  A u0 with no symmetry takes
-    the trivial group, whose kernel is the full M x M one.  Raises
+    the trivial group, whose kernel packs the full M x M one.  Raises
     NonFiniteState as soon as any field entry stops being finite.
     """
     u0 = checked_field(u0, config.shape)

@@ -10,7 +10,7 @@ same arithmetic:
     at a time through the eigenbasis; the reference for the other;
   * ``apply_plap``: the u-independent M x M kernel (M = prod(N_j)) times the
     quadrature weights, A = W K, which is symmetric, folded onto the field's
-    ``invariant_orbits`` and applied in row blocks over the upper triangle;
+    ``invariant_orbits`` and applied in row blocks of its circulant packing;
     each block builds its rows and drops them, never holding the whole kernel.
 
 The block loop itself, ``apply_folded``, runs over the orbits of a symmetry
@@ -18,12 +18,16 @@ group of the grid (``grid_orbits``).  On a field invariant under the group
 the output is invariant too, and it follows from one value per orbit: with
 the folded kernel B[O, O'] = sum_{i in O, j in O'} A_ij, which is symmetric,
 the output at orbit O is (1/(mu_O w_O)) sum_O' B[O, O'] phi(u_O - u_O'),
-mu_O the orbit size.  Summing a column with its mirror image cancels every
-odd mode, so under the axis mirrors B is built from the even half blocks
-of the factors on the top half of every axis, never from A; the axis swap
-of a square plane then adds the two columns of each swapped pair.  The
-trivial group, every point its own orbit, gives A itself; a field with no
-symmetry takes it.
+mu_O the orbit size.  As B is symmetric and phi odd, each unordered pair of
+the R orbits takes one term, added to one orbit and subtracted from the
+other, so B is held circulant-packed: row O keeps its floor(R/2) partners
+O+1, O+2, ... modulo R, which names every pair once (for an even R the
+antipodal pair only in its row O < R/2).  Summing a column with its
+mirror image cancels every odd mode, so under the axis mirrors B is built
+from the even half blocks of the factors on the top half of every axis,
+never from A; the axis swap of a square plane then adds the two columns of
+each swapped pair.  The trivial group, every point its own orbit, gives A
+itself; a field with no symmetry takes it.
 
 Route agreement is a standing test target, so neither shortcuts
 through the other or through the linear operator, even at p = 2 where the
@@ -38,6 +42,7 @@ from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
@@ -46,7 +51,7 @@ from .fraclap import _half_products, _power_tensor, to_eigenbasis
 from .grid import make_grid
 from .tensor_ops import mirror_axes, mode_product, parity_unfold
 
-# rows per block of the kernel and of each evaluation; fastest measured at M = 501
+# rows per block of the kernel and of each evaluation
 _BLOCK_ROWS = 64
 _POLE_TOL = 1e-12
 # symmetry groups of the grid, each containing the one before
@@ -105,8 +110,8 @@ class Orbits:
 
     @property
     def kernel_bytes(self) -> int:
-        """Bytes of the folded kernel, 8 * len(reps)**2."""
-        return 8 * len(self.reps) ** 2
+        """Bytes of the circulant-packed folded kernel, 8 * R * floor(R/2) for R = len(reps)."""
+        return 8 * len(self.reps) * (len(self.reps) // 2)
 
     def fold(self, U: np.ndarray) -> np.ndarray:
         """The values of a grid field at the representatives."""
@@ -176,19 +181,23 @@ def invariant_orbits(U: np.ndarray, scales: Sequence[float]) -> tuple[Orbits, di
                     "representatives": len(orbits.reps), "kernel_bytes": orbits.kernel_bytes}
 
 
-def signed_power(t: np.ndarray | float, p: float) -> np.ndarray:
+def signed_power(t: np.ndarray | float, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """Odd power sgn(t)|t|**(p-1), elementwise, with sgn(0) = 0.
 
     Defined for every real t and p >= 1; p = 2 short-circuits to the
-    identity.  Allocates one array of t's size.
+    identity.  The result is written to ``out`` when given, an array of
+    t's shape that must not overlap t, and otherwise to one new array.
     """
     p = checked_exponent(p)
     t = np.asarray(t, dtype=float)
+    if out is None:
+        out = np.empty_like(t)
     if p == 2.0:
-        return t.copy()
+        np.copyto(out, t)
+        return out
     if p == 1.0:  # |0|**0 = 1 would lose sgn(0) = 0
-        return np.sign(t)
-    out = np.abs(t, out=np.empty_like(t))
+        return np.sign(t, out=out)
+    np.abs(t, out=out)
     out **= p - 1.0
     return np.copysign(out, t, out=out)
 
@@ -271,10 +280,9 @@ def _checked_orbits(op: FracPOperator, orbits: Orbits) -> Orbits:
 
 
 def _kernel_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndarray) -> np.ndarray:
-    """Rows a:b of the folded kernel of ``orbits``, built in and returned as ``out``.
+    """Rows a:b of the folded kernel B of ``orbits``, built in and returned as ``out``.
 
-    ``out`` is a C-contiguous (b - a) x len(orbits.reps) array, such as rows
-    a:b of the kernel.
+    ``out`` is a C-contiguous (b - a) x len(orbits.reps) array.
     """
     n = len(op.shape)
     idx = np.unravel_index(orbits.reps[a:b], op.shape, order="F")
@@ -310,18 +318,36 @@ def _kernel_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndar
     return out
 
 
-def folded_kernel(op: FracPOperator, orbits: Orbits) -> np.ndarray:
-    """Read-only B[O, O'] = sum_{i in O, j in O'} A_ij over the orbits, A = W K.
+def _packed_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndarray) -> np.ndarray:
+    """Rows a:b of the circulant-packed folded kernel, built in and returned as ``out``.
 
-    Symmetric to rounding, ``orbits.kernel_bytes`` bytes, built in place by
-    ``_kernel_rows`` block by block; the trivial group gives A itself.
+    Entry (O, j) of the packing is B[O, (O + 1 + j) mod R], j < floor(R/2),
+    taken from the full rows ``_kernel_rows`` builds; for an even R the
+    antipodal column j = R/2 - 1 is 0 in the rows O >= R/2, whose pair
+    row O - R/2 holds.
+    """
+    r, h = len(orbits.reps), len(orbits.reps) // 2
+    rows = _kernel_rows(op, orbits, a, b, np.empty((b - a, r)))
+    O = np.arange(a, b)[:, None]
+    np.take(rows, (O - a) * r + (O + 1 + np.arange(h)) % r, out=out)
+    if r % 2 == 0:
+        out[max(h - a, 0):, h - 1] = 0.0
+    return out
+
+
+def folded_kernel(op: FracPOperator, orbits: Orbits) -> np.ndarray:
+    """Read-only circulant packing of B[O, O'] = sum_{i in O, j in O'} A_ij over the orbits, A = W K.
+
+    B is symmetric to rounding, and the packing (``_packed_rows``) holds
+    each unordered pair of orbits once: ``orbits.kernel_bytes`` bytes,
+    built in place block by block.  The trivial group packs A itself.
     """
     r = len(_checked_orbits(op, orbits).reps)
-    B = np.empty((r, r))
+    K = np.empty((r, r // 2))
     for a in range(0, r, _BLOCK_ROWS):
-        _kernel_rows(op, orbits, a, min(a + _BLOCK_ROWS, r), out=B[a:a + _BLOCK_ROWS])
-    B.flags.writeable = False
-    return B
+        _packed_rows(op, orbits, a, min(a + _BLOCK_ROWS, r), out=K[a:a + _BLOCK_ROWS])
+    K.flags.writeable = False
+    return K
 
 
 def apply_folded(op: FracPOperator, orbits: Orbits, u: np.ndarray, kernel: np.ndarray | None) -> np.ndarray:
@@ -329,20 +355,39 @@ def apply_folded(op: FracPOperator, orbits: Orbits, u: np.ndarray, kernel: np.nd
 
     ``u = orbits.fold(U)`` holds the field's values at the representatives,
     and the result is (1/(mu_O w_O)) sum_O' B[O, O'] signed_power(u_O - u_O').
-    Each block of ``_BLOCK_ROWS`` rows adds its row sums to its own orbits
-    and, as B is symmetric and the odd power antisymmetric, subtracts its
-    column sums from the orbits after it.  Rows come from ``kernel``, the
-    ``folded_kernel`` of ``orbits``, or when it is None from ``_kernel_rows``
-    per block; the blocks are the same, so the two give the same values.
+    Each block of ``_BLOCK_ROWS`` packed rows O forms the pair terms
+    T[O, j] = signed_power(u_O - u_{O+1+j}) K[O, j] and, as the odd power is
+    antisymmetric, adds its row sums to its own orbits and subtracts each
+    term from its partner: the block's terms sit in a zero-padded
+    m x (h + m) array, h = floor(R/2), whose flat reading at row length
+    h + m - 1 moves term (i, j) to column i + j, so the column sums are the
+    partner sums of orbits a+1, a+2, ..., folded modulo R at the end.  Rows
+    come from ``kernel``, the ``folded_kernel`` of ``orbits``, or when it is
+    None from ``_packed_rows`` per block; the blocks are the same, so the
+    two give the same values.
     """
     u = checked_field(u, _checked_orbits(op, orbits).reps.shape)
-    out = np.zeros(u.size)
-    for a in range(0, u.size, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, u.size)
-        rows = kernel[a:b, a:] if kernel is not None else _kernel_rows(op, orbits, a, b, np.empty((b - a, u.size)))[:, a:]
-        T = signed_power(u[a:b, None] - u[a:], op.p) * rows
-        out[a:b] += T.sum(1)
-        out[b:] -= T[:, b - a:].sum(0)
+    r, h = u.size, u.size // 2
+    # partners[O] = u_{O+1}, ..., u_{O+h}, indices modulo R
+    partners = sliding_window_view(np.concatenate([u, u[:h]]), h)
+    # row sums land at O, partner sums at O + 1 + j < R + h
+    acc = np.zeros(r + h)
+    T = None
+    for a in range(0, r, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, r)
+        m = b - a
+        if T is None or len(T) != m:  # the first and the last block
+            diff, T, padded = np.empty((m, h)), np.empty((m, h)), np.zeros((m, h + m))
+            sheared = padded.reshape(-1)[:m * (h + m - 1)].reshape(m, h + m - 1)
+        rows = kernel[a:b] if kernel is not None else _packed_rows(op, orbits, a, b, np.empty((m, h)))
+        np.subtract(u[a:b, None], partners[a + 1:b + 1], out=diff)
+        np.multiply(signed_power(diff, op.p, out=T), rows, out=T)
+        acc[a:b] += T.sum(1)
+        # the terms are computed contiguous, which numpy runs faster than in the padded rows
+        padded[:, :h] = T
+        acc[a + 1:b + h] -= sheared.sum(0)
+    out = acc[:r]
+    out[:h] += acc[r:]
     return out / orbits.weight
 
 

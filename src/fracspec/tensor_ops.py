@@ -4,8 +4,9 @@ Fields on an n-dimensional grid are plain numpy arrays of shape
 (N_1, ..., N_n).  The grid reads the same backwards along every axis, and
 two helpers use a field's mirror symmetry (``mirror_axes``):
 ``on_mirror_half`` runs a computation on the top half of every mirrored
-axis and copies the result into the bottom half, and ``write_field_csv``
-formats each value that a bitwise mirror repeats only once.
+axis and copies the result into the bottom half (``mirror_fill``), and
+``write_field_csv`` formats each value that a bitwise mirror repeats only
+once.
 
 Where a flat ordering matters (the field CSV rows) the convention is first
 index fastest, i.e. column-major: ``numpy.ravel(A, order='F')``.  CSV files
@@ -36,6 +37,9 @@ _POSITIVE_TOL = 1e-12
 
 # rows formatted per write call; bounds the size of the joined text
 _CSV_CHUNK_ROWS = 65536
+# sweeps joined per write call: bytes.join holds an 80-byte buffer view per
+# item, 5 MiB over a chunk of one-row sweeps
+_CSV_CHUNK_SWEEPS = 4096
 # the one number format of every CSV float: 17 significant digits
 _VALUE = b"%.17g"
 
@@ -110,14 +114,28 @@ def on_mirror_half(f: Callable[[np.ndarray, tuple[bool, ...]], np.ndarray], U: n
     """
     U = np.asarray(U)
     mirrored = mirror_axes(U)
-    top = tuple(slice((N + 1) // 2 if m else N) for N, m in zip(U.shape, mirrored))
+    top = mirror_top(U.shape, mirrored)
     half = f(U[top], mirrored)
     if not any(mirrored):
         return half
-    out, index = np.empty(U.shape, half.dtype), list(top)
+    out = np.empty(U.shape, half.dtype)
     out[top] = half
+    return mirror_fill(out, mirrored)
+
+
+def mirror_top(shape: Sequence[int], mirrored: Sequence[bool]) -> tuple[slice, ...]:
+    """The index of the top ceil(N/2) rows along each mirrored axis of ``shape``, all rows along the others."""
+    return tuple(slice((N + 1) // 2 if m else N) for N, m in zip(shape, mirrored))
+
+
+def mirror_fill(out: np.ndarray, mirrored: Sequence[bool]) -> np.ndarray:
+    """Copy the top rows of ``out`` (``mirror_top``) into its bottom rows along each mirrored axis, in place.
+
+    The result, ``out`` itself, equals its reflection along those axes exactly.
+    """
+    index = list(mirror_top(out.shape, mirrored))
     for axis in (axis for axis, m in enumerate(mirrored) if m):
-        N = U.shape[axis]
+        N = out.shape[axis]
         index[axis] = slice(None)
         u = np.moveaxis(out[tuple(index)], axis, 0)
         u[(N + 1) // 2:] = u[:N // 2][::-1]
@@ -264,7 +282,7 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
         fh.write((",".join(f"i{k + 1}" for k in range(len(shape))) + ",value\n").encode())
         template = b"".join(t + b"@" + value + b"\n" for t in _index_text(shape[:lead]))
         trailing = _index_text(shape[lead:])
-        sweeps = _CSV_CHUNK_ROWS // rows
+        sweeps = min(_CSV_CHUNK_ROWS // rows, _CSV_CHUNK_SWEEPS)
         for a in range(0, arr.size, sweeps * rows):
             count = min(sweeps, (arr.size - a) // rows)
             chunk = b"".join([template.replace(b"@", t) for t in itertools.islice(trailing, count)])

@@ -337,7 +337,7 @@ def test_fracplap_reports_the_route_of_a_builtin_field(tmp_path, dims, scales, g
     route = read_json(tmp_path / "fracplap_report.json")["route"]
     assert route == read_json(tmp_path / "fracplap_manifest.json")["route"]
     assert (route["group"], route["representatives"]) == (group, reps)
-    assert route["kernel_bytes"] == 8 * reps**2
+    assert route["kernel_bytes"] == 8 * reps * (reps // 2)
     assert "mirror-symmetric" in route["group_reason"]
 
 
@@ -434,7 +434,7 @@ def test_evolve_writes_snapshots_and_report(tmp_path):
     manifest = read_json(tmp_path / "evolve_manifest.json")
     assert manifest["parameters"]["N"] == 24
     # the Gaussian start is mirror-symmetric: 12 orbits of two points each
-    route = {"group": "mirror", "representatives": 12, "kernel_bytes": 8 * 12**2}
+    route = {"group": "mirror", "representatives": 12, "kernel_bytes": 8 * 12 * 6}
     assert report["route"] == manifest["route"] == {**route, "group_reason": report["route"]["group_reason"]}
     assert "mirror-symmetric" in report["route"]["group_reason"]
     assert manifest["parameters"] == {"config": str(cfg), "n": 1, "s": 0.5, "p": 2.0, "N": 24,

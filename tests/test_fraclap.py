@@ -327,6 +327,18 @@ def test_gaussian_field_has_no_subnormals_and_exact_normal_values():
     assert np.all(u[~normal] == 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [8, 9])
+def test_gaussian_field_is_the_flushed_exponential_bit_for_bit(n, N):
+    # computed on the top half of every axis and mirrored: x*x reads the same backwards
+    grids = [make_grid(N + k, 2.5 + 0.5 * k) for k in range(n)]
+    want = np.exp(-radius_squared(grids))
+    want[want < np.finfo(float).tiny] = 0.0
+    u = gaussian_field(grids)
+    assert u.shape == want.shape
+    assert u.tobytes() == want.tobytes()
+
+
 def test_order_near_one_approaches_negated_second_derivative():
     N, L = 64, 6.0
     g = make_grid(N, L)

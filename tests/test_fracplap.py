@@ -28,6 +28,7 @@ from fracspec import (
     signed_power,
 )
 from fracspec.fracplap import (
+    _kernel_rows,
     apply_folded,
     folded_kernel,
     grid_orbits,
@@ -282,11 +283,30 @@ def test_evolution_never_builds_the_full_power_tensor(monkeypatch):
     assert all("pow_tensor" not in op.__dict__ for op in ops)
 
 
+def unpacked(K):
+    """The symmetric R x R kernel of a circulant packing K[O, j] = B[O, (O+1+j) mod R], 0 on the diagonal."""
+    r, h = K.shape
+    B = np.zeros((r, r))
+    O = np.arange(r)[:, None]
+    B[O, (O + 1 + np.arange(h)) % r] = K
+    # each pair sits on one side of the diagonal; for an even R the antipodal one's other side is 0
+    return B + B.T
+
+
+def assert_symmetric_packing(K, op, orbits):
+    """K packs B, which is symmetric to rounding: each stored entry is B[O, O'] or B[O', O]."""
+    r = len(orbits.reps)
+    assert K.shape == (r, r // 2)
+    B = _kernel_rows(op, orbits, 0, r, np.empty((r, r)))
+    off = ~np.eye(r, dtype=bool)
+    assert np.max(np.abs(unpacked(K) - B)[off], initial=0.0) <= 1e-15 * np.max(np.abs(B))
+
+
 def test_kernel_is_read_only_and_symmetric():
     op = build_fracplap(build_axis_factors((7,)), (2.0,), 0.5, 1.5)
-    K = folded_kernel(op, grid_orbits((7,), "none"))
-    assert K.shape == (7, 7)
-    assert np.max(np.abs(K - K.T)) <= 1e-15 * np.max(np.abs(K))
+    orbits = grid_orbits((7,), "none")
+    K = folded_kernel(op, orbits)
+    assert_symmetric_packing(K, op, orbits)
     with pytest.raises(ValueError):
         K[0, 0] = 1.0
 
@@ -304,7 +324,10 @@ def traced_peak(f, *args):
 def test_kernel_build_holds_one_kernel_at_n_2():
     dims = (50, 51)
     op = build_fracplap(build_axis_factors(dims), (3.0, 3.0), 0.8, 1.7)
-    assert traced_peak(folded_kernel, op, grid_orbits(dims, "none")) <= 1.1 * 8 * math.prod(dims) ** 2
+    orbits = grid_orbits(dims, "none")
+    # the packed kernel and a few 64-row blocks of full rows
+    block = 8 * 64 * math.prod(dims)
+    assert traced_peak(folded_kernel, op, orbits) <= 1.1 * orbits.kernel_bytes + 4 * block
 
 
 def test_apply_plap_never_holds_the_kernel():
@@ -441,7 +464,7 @@ def test_trivial_orbits_are_the_grid_points():
     orbits = grid_orbits((4, 5), "none")
     assert np.array_equal(orbits.reps, np.arange(20))
     assert np.array_equal(orbits.mult, np.ones(20))
-    assert orbits.kernel_bytes == 8 * 20**2
+    assert orbits.kernel_bytes == 8 * 20 * 10
 
 
 def test_swap_needs_a_square_plane_with_common_scales():
@@ -492,7 +515,7 @@ def test_invariant_orbits_drop_the_swap_unless_the_scales_agree():
     assert orbits.group == "mirror+swap"
     assert route == {"group": "mirror+swap",
                      "group_reason": "the field is mirror-symmetric along both axes and swap-symmetric",
-                     "representatives": 15, "kernel_bytes": 8 * 15**2}
+                     "representatives": 15, "kernel_bytes": 8 * 15 * 7}
     orbits, route = invariant_orbits(U, (2.0, 2.5))
     assert orbits.group == route["group"] == "mirror"
     assert route["group_reason"] == ("the field is mirror-symmetric along both axes and "
@@ -500,7 +523,7 @@ def test_invariant_orbits_drop_the_swap_unless_the_scales_agree():
     assert route["representatives"] == len(orbits.reps) == 25
 
 
-@pytest.mark.parametrize("p", [1.6, 2.0, 2.2])
+@pytest.mark.parametrize("p", [1.0, 1.6, 2.0, 2.2])
 @pytest.mark.parametrize("dims,group", [
     ((31,), "mirror"),
     ((32,), "mirror"),
@@ -517,8 +540,7 @@ def test_folded_operator_matches_the_full_one_on_invariant_fields(dims, group, p
     full = full_apply(op, U)
     orbits = grid_orbits(dims, group)
     B = folded_kernel(op, orbits)
-    assert B.shape == (len(orbits.reps),) * 2
-    assert np.max(np.abs(B - B.T)) <= 1e-15 * np.max(np.abs(B))
+    assert_symmetric_packing(B, op, orbits)
     u = apply_folded(op, orbits, orbits.fold(U), B)
     assert np.max(np.abs(orbits.unfold(u) - full)) <= 1e-12 * np.max(np.abs(full))
     # discrete mass: B symmetric and the odd power antisymmetric
@@ -535,9 +557,33 @@ def test_trivial_fold_is_the_full_kernel():
     f0, f1 = op.factors
     dense = np.kron(f1.P, f0.P) @ (op.pow_tensor.ravel(order="F")[:, None] * np.kron(f1.Pinv, f0.Pinv))
     A = op.c_const * orbits.weight[:, None] * dense
-    assert np.max(np.abs(K - A)) <= 1e-13 * np.max(np.abs(A))
+    # R = 30 is even: the antipodal pairs are held once too, and the diagonal not at all
+    off = ~np.eye(len(A), dtype=bool)
+    assert np.max(np.abs(unpacked(K) - A)[off]) <= 1e-13 * np.max(np.abs(A))
     # held kernel and rebuilt rows: the same blocks, the same bits
     U = np.random.default_rng(12).standard_normal(dims)
     u = apply_folded(op, orbits, orbits.fold(U), K)
     assert np.array_equal(u, apply_folded(op, orbits, orbits.fold(U), None))
     assert np.array_equal(orbits.unfold(u), apply_plap(op, U))
+
+
+@pytest.mark.parametrize("dims,group,count", [
+    ((2,), "mirror", 1),
+    ((2,), "none", 2),
+    ((3,), "none", 3),
+    ((7,), "mirror", 4),
+    ((127,), "mirror", 64),
+    ((65,), "none", 65),
+])
+def test_packed_kernel_matches_the_pointwise_reference_at_every_block_edge(dims, group, count):
+    # R = 1 packs no pair, R = 2 only an antipodal one, R = 64 fills one block, R = 65 starts a second
+    op = build_fracplap(build_axis_factors(dims), (2.0,), 0.6, 1.7)
+    U = symmetrized(np.random.default_rng(14).standard_normal(dims), group)
+    orbits = grid_orbits(dims, group)
+    assert len(orbits.reps) == count
+    K = folded_kernel(op, orbits)
+    assert K.shape == (count, count // 2)
+    u = apply_folded(op, orbits, orbits.fold(U), K)
+    assert np.array_equal(u, apply_folded(op, orbits, orbits.fold(U), None))
+    want = apply_plap_pointwise(op, U)
+    assert np.max(np.abs(orbits.unfold(u) - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)

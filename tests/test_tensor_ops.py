@@ -567,6 +567,22 @@ def test_field_csv_write_holds_less_than_a_fixed_width_array_over_the_field(tmp_
     assert peak < budget
 
 
+def test_field_csv_write_of_a_short_sweep_stays_under_11_mib(tmp_path):
+    import tracemalloc
+
+    # no leading axis fits a chunk, so every sweep is one row; a bytes.join
+    # over 65,536 of them would hold an 80-byte buffer view per row (13.1 MiB)
+    field = np.random.default_rng(15).standard_normal(1000001)
+    assert not any(mirror_axes(field))
+    tracemalloc.start()
+    try:
+        write_field_csv(tmp_path / "s.csv", field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20
+
+
 @pytest.mark.parametrize(
     "row, match",
     [
