@@ -24,7 +24,7 @@ from . import __version__
 from .checks import checked_exponent, checked_field, checked_order
 from .errors import NumericalContractError
 from .eigen import condition_number, factorize
-from .evolution import config_grids, load_config, quad_mass, run_evolution
+from .evolution import config_grids, load_config, quad_mass, run_evolution, section_overlap_distance
 from .fields import gaussian_field, lorentzian_field, radius_squared
 from .fraclap import apply_fraclap, build_axis_factors, build_fraclap
 from .fracplap import apply_plap, build_fracplap, invariant_orbits
@@ -135,6 +135,7 @@ def _cmd_factor(args) -> int:
     t0 = time.perf_counter()
     grid = make_grid(args.n, args.scale)
     factor = factorize(grid)
+    t_factorize = time.perf_counter() - t0
     Dxx = build_diff_matrices(grid).Dxx
     scale2 = args.scale * args.scale
     P, Pinv = factor.P, factor.Pinv
@@ -150,7 +151,7 @@ def _cmd_factor(args) -> int:
     }
     name = "factor_report.json"
     _write_json(args.out_dir / name, report)
-    timings = {"total": time.perf_counter() - t0}
+    timings = {"factorize": t_factorize, "total": time.perf_counter() - t0}
     _manifest(args.out_dir, "factor", {"n": args.n, "scale": args.scale}, timings, [name])
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -162,6 +163,7 @@ def _cmd_fraclap(args) -> int:
     U, exact = _make_field(args.field, grids, dims)
     t0 = time.perf_counter()
     factors = build_axis_factors(dims)
+    t_factorize = time.perf_counter() - t0
     op = build_fraclap(factors, scales, args.s)
     t_build = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -171,7 +173,7 @@ def _cmd_fraclap(args) -> int:
     folded = [axis for axis, mirrored in enumerate(mirror_axes(U)) if mirrored]
     report = {"wall_time_core": t_core, "mirror_folded_axes": folded}
     return _field_run_outputs(args, grids, exact, out, report,
-                              {"build": t_build, "core": t_core}, mirror_folded_axes=folded)
+                              {"factorize": t_factorize, "build": t_build, "core": t_core}, mirror_folded_axes=folded)
 
 
 def _field_run_outputs(args, grids, exact, out, report, timings, **extra) -> int:
@@ -223,6 +225,7 @@ def _cmd_fracplap(args) -> int:
     U, exact = _make_field(args.field, grids, dims)
     t0 = time.perf_counter()
     factors = build_axis_factors(dims)
+    t_factorize = time.perf_counter() - t0
     op = build_fracplap(factors, scales, args.s, args.p)
     t_build = time.perf_counter() - t0
     _warn_sp_range(args.s, args.p)
@@ -231,7 +234,7 @@ def _cmd_fracplap(args) -> int:
     out = apply_plap(op, U)
     t_core = time.perf_counter() - t0
     return _field_run_outputs(args, grids, exact, out, {"wall_time": t_core, "route": route},
-                              {"build": t_build, "core": t_core}, route=route)
+                              {"factorize": t_factorize, "build": t_build, "core": t_core}, route=route)
 
 
 def _cmd_evolve(args) -> int:
@@ -261,7 +264,9 @@ def _cmd_evolve(args) -> int:
         drift = max(abs(snap.mass) for snap in snapshots)
     report = {
         "initial_mass": mass0,
+        "gaussian_mass": float(np.pi ** (config.n / 2)),
         "masses": masses,
+        "profile_distance": section_overlap_distance([(snap.section_r, snap.section_v) for snap in snapshots]),
         "drift": drift,
         "wall_time": wall,
         "route": route,

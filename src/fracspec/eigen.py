@@ -3,7 +3,7 @@
 The grid is mirror-symmetric, ``Dxx[N-1-i, N-1-j] == Dxx[i, j]``, so every
 eigenvector is even or odd under the reflection i -> N-1-i and ``Dxx``
 splits into an even block of size h = ceil(N/2) and an odd block of size
-m = floor(N/2), both acting on the top h (or m) grid rows (``parity_fold``).
+m = floor(N/2), both on the top h (or m) rows, written by ``_parity_block``.
 With sigma = sin(xi), even under the reflection, the similarity
 ``diag(1/g) B diag(g)`` of each block B is symmetric up to rounding, because
 ``W Dxx`` is for the quadrature weights ``W = diag(1/sigma^2)``; here g is
@@ -33,10 +33,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import PositiveEigenvalue, SingularMatrix
-from .grid import Grid1D, make_grid, top_diff_rows
-from .tensor_ops import parity_fold, parity_unfold
+from .grid import Grid1D, angular_first_deriv_row, angular_second_deriv_row, make_grid
+from .tensor_ops import parity_unfold
 
 
 @dataclass(frozen=True)
@@ -77,16 +78,15 @@ class SpectralFactor:
     def _odd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``lam_odd``, ``P_odd``, ``Pinv_odd`` and ``P_odd`` under h - m zero rows, from one ``eigh``."""
         # the factor depends only on N, so the odd block is assembled again
-        folded, g, mult = _folded_rows(make_grid(self.N, 1.0))
-        h, m = len(g), self.N // 2
-        lam, Q = np.linalg.eigh(_symmetric_block(folded[:m, h:], g[:m]))
+        S, g, mult = _parity_block(make_grid(self.N, 1.0), odd=True)
+        lam, Q = np.linalg.eigh(S)
         _check_negative(lam)
-        P, Pinv = _unit_columns(Q, g[:m], mult[:m])
-        padded = np.zeros((h, m))
-        padded[:m] = P
+        P, Pinv = _unit_columns(Q * g[:, None], g, mult)
+        padded = np.zeros(((self.N + 1) // 2, len(g)))
+        padded[:len(g)] = P
         for a in (lam, padded, Pinv):
             a.flags.writeable = False
-        return lam, padded[:m], Pinv, padded
+        return lam, padded[:len(g)], Pinv, padded
 
     @cached_property
     def Pinv_fold(self) -> np.ndarray:
@@ -139,34 +139,52 @@ def _check_negative(lam: np.ndarray) -> None:
         )
 
 
-def _symmetric_block(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    S = B * (g[None, :] / g[:, None])
-    return 0.5 * (S + S.T)
-
-
 def _fold_weights(N: int) -> np.ndarray:
     """mu: 2 on the floor(N/2) paired top rows, for themselves and their mirror images, 1 on a middle row."""
     return np.where(np.arange((N + 1) // 2) < N // 2, 2.0, 1.0)
 
 
-def _folded_rows(grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The top h rows of ``Dxx`` folded by parity, the similarity g and the row weights.
+def _parity_block(grid: Grid1D, odd: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Dxx``'s even (h x h) or odd (m x m) block B as the symmetrized ``diag(1/g) B diag(g)``, with g and mu.
 
-    The even block of ``Dxx`` is the top-left h x h of the folded rows, the
-    odd block their top-right m x m.
+    B[i, j] is Dxx[i, j] +- Dxx[i, N-1-j], a middle column counted once.  The
+    angular matrices are Toeplitz in a 2N-periodic row c, so folded they read
+    ``T(j - i) + H(i + j)``, ``T(d) = c(d) +- c(d - N)``, ``H(t) = c(-1 - t) +-
+    c(N - 1 - t)``, a middle column twice; rows take the chain-rule scales.
     """
-    folded = parity_fold(top_diff_rows(grid)[1], 1)
-    mult = _fold_weights(grid.N)  # mirror-extended rows count twice in a norm
-    g = np.sin(grid.xi[:len(mult)]) * np.sqrt(2.0 / mult)
-    return folded, g, mult
+    N = grid.N
+    n = N // 2 if odd else (N + 1) // 2
+    sign = -1.0 if odd else 1.0
+    mult = _fold_weights(N)[:n]  # mirror-extended rows count twice in a norm
+    sigma = np.sin(grid.xi[:n])
+    g = sigma * np.sqrt(2.0 / mult)
+    s2x = np.sin(2.0 * grid.xi[:n])
+    col = 0.5 * g  # with the 1/2 of the symmetrization, exact
+    if n > N // 2:  # the middle row and column of an odd N
+        s2x[-1] = 0.0  # sin(pi), zeroed as in top_diff_rows
+        col[-1] *= 0.5
+    d, t = np.arange(1 - n, n), np.arange(2 * n - 1)
+
+    def folded(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        T = c[d % (2 * N)] + sign * c[(d - N) % (2 * N)]
+        H = c[(-1 - t) % (2 * N)] + sign * c[(N - 1 - t) % (2 * N)]
+        # row i reads T[n - 1 - i:] and H[i:]; the views go no further than np.add
+        W = np.add(as_strided(T[n - 1:], (n, n), (-8, 8)), as_strided(H, (n, n), (8, 8)))
+        return np.multiply(W, r[:, None], out=W)
+
+    S = folded(angular_second_deriv_row(N), sigma**4 / g)
+    S += folded(angular_first_deriv_row(N), sigma**2 * s2x / g)
+    S *= col
+    return S + S.T, g, mult
 
 
-def _unit_columns(Q: np.ndarray, g: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top rows of the unit columns P = g Q / norms and of Pinv, with Pinv diag(mult) P = I."""
-    P = g[:, None] * Q
+def _unit_columns(P: np.ndarray, g: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P = diag(g) Q`` scaled in place to unit columns, and ``Pinv`` with Pinv diag(mult) P = I."""
     norms = np.sqrt(mult @ P**2)
+    Pinv = np.multiply(P.T, norms[:, None], out=np.empty(P.shape[::-1]))
+    Pinv /= g * g * mult
     P /= norms
-    return P, np.ascontiguousarray(Q.T / (g * mult) * norms[:, None])
+    return P, Pinv
 
 
 def factorize(grid: Grid1D) -> SpectralFactor:
@@ -181,8 +199,7 @@ def factorize(grid: Grid1D) -> SpectralFactor:
     """
     n = grid.N
     h = (n + 1) // 2
-    folded, g, mult = _folded_rows(grid)
-    S = _symmetric_block(folded[:, :h], g)
+    S, g, mult = _parity_block(grid, odd=False)
     z = 1.0 / g
     z /= np.linalg.norm(z)
     # H = I - 2 u u^T maps z to -e_0; H S H = S - u k^T - k u^T, in place
@@ -191,17 +208,15 @@ def factorize(grid: Grid1D) -> SpectralFactor:
     u /= np.linalg.norm(u)
     Su = S @ u
     k = 2.0 * (Su - (u @ Su) * u)
-    S -= np.outer(u, k)
-    S -= np.outer(k, u)
+    S -= np.stack([u, k], 1) @ np.stack([k, u])
     lam_e, Qp = np.linalg.eigh(S[1:, 1:])
     _check_negative(lam_e)
-    # eigenvectors of the even block: H applied to [0; Qp], then the kernel vector z
-    Q_e = np.empty((h, h))
-    Q_e[1:, :-1] = Qp
-    Q_e[0, :-1] = 0.0
-    Q_e[:, :-1] -= 2.0 * np.outer(u, u[1:] @ Qp)
-    Q_e[:, -1] = z
-    P_even, Pinv_even = _unit_columns(Q_e, g, mult)
+    # g times the eigenvectors of the even block: H applied to [0; Qp], then the kernel vector z
+    P_even = np.zeros((h, h))
+    np.multiply(g[1:, None], Qp, out=P_even[1:, :-1])
+    P_even[:, :-1] -= np.multiply.outer(2.0 * g * u, u[1:] @ Qp)
+    P_even[:, -1] = g * z
+    P_even, Pinv_even = _unit_columns(P_even, g, mult)
     P_even[:, -1] = n ** -0.5  # g * z normalized, without its rounding
     lam_even = np.append(lam_e, 0.0)  # the kernel ends the even block
     for a in (P_even, Pinv_even, lam_even):

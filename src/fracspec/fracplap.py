@@ -42,7 +42,7 @@ from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
@@ -369,7 +369,7 @@ def apply_folded(op: FracPOperator, orbits: Orbits, u: np.ndarray, kernel: np.nd
     u = checked_field(u, _checked_orbits(op, orbits).reps.shape)
     r, h = u.size, u.size // 2
     # partners[O] = u_{O+1}, ..., u_{O+h}, indices modulo R
-    partners = sliding_window_view(np.concatenate([u, u[:h]]), h)
+    partners = as_strided(np.concatenate([u, u[:h]]), (r + 1, h), (8, 8), writeable=False)
     # row sums land at O, partner sums at O + 1 + j < R + h
     acc = np.zeros(r + h)
     T = None

@@ -8,8 +8,8 @@ on (0, pi) and maps them to physical nodes x_j = L*cot(xi_j), which tile the
 whole real axis with algebraic clustering controlled by the scale L.  Samples
 u(x_j) are extended evenly across xi = pi, differentiated
 with the trigonometric spectral matrices for 2N equispaced points, and mapped
-back by the chain rule.  Only the first ceil(N/2) rows are ever assembled
-explicitly; the rest follow from the reflection symmetry of the node set.
+back by the chain rule.  Only the first ceil(N/2) rows, or (``eigen``) the
+parity blocks, are assembled; the rest follow from the reflection symmetry.
 
 Matrices returned here are unscaled: ``Dx @ u`` approximates ``L * u'`` and
 ``Dxx @ u`` approximates ``L**2 * u''``.  Callers divide by the scale.

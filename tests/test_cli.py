@@ -127,6 +127,19 @@ def test_factor_report_fields_and_scale_division(tmp_path):
     assert a["inverse_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("argv, whole", [
+    (["factor", "--n", "24", "--scale", "1.0"], "total"),
+    (["fraclap", "--dims", "8,9", "--scales", "2.0,2.0", "--s", "0.5"], "build"),
+    (["fracplap", "--dims", "8,9", "--scales", "2.0,2.0", "--s", "0.5", "--p", "1.7"], "build"),
+])
+def test_manifests_time_the_factorization_apart(argv, whole, tmp_path):
+    from fracspec import cli
+
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+    timings = read_json(tmp_path / f"{argv[0]}_manifest.json")["timings"]
+    assert 0.0 <= timings["factorize"] <= timings[whole]
+
+
 # ----------------------------------------------------------------------------
 # fraclap
 # ----------------------------------------------------------------------------
@@ -445,6 +458,27 @@ def test_evolve_writes_snapshots_and_report(tmp_path):
     assert set(manifest["timings"]) == {"integration", "write"}
     assert manifest["timings"]["integration"] == report["wall_time"]
     assert manifest["timings"]["write"] >= 0.0
+
+
+def test_evolve_report_states_the_profile_distance_and_gaussian_mass(tmp_path, monkeypatch):
+    from fracspec import cli, run_evolution, section_overlap_distance
+
+    snapshots = []
+
+    def recorded(config, u0):
+        snapshots.extend(run_evolution(config, u0))
+        return snapshots
+
+    monkeypatch.setattr(cli, "run_evolution", recorded)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    assert cli.main(["evolve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    report = read_json(tmp_path / "evolve_report.json")
+    assert len(snapshots) == 2
+    want = section_overlap_distance([(snap.section_r, snap.section_v) for snap in snapshots])
+    assert report["profile_distance"] == want > 0.0
+    assert report["gaussian_mass"] == math.sqrt(math.pi)
+    assert report["initial_mass"] == pytest.approx(report["gaussian_mass"], rel=1e-3)
 
 
 def test_evolve_refuses_snapshot_times_sharing_a_file_name(tmp_path):

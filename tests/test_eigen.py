@@ -112,6 +112,54 @@ def test_fold_inverse_weighs_the_paired_rows_twice(N):
     assert np.allclose(f.Pinv_fold @ v[:h], (f.Pinv @ v)[:h], rtol=0, atol=1e-12 * np.max(np.abs(v)))
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 501, 1000, 1001])
+def test_parity_blocks_are_the_folded_rows_blocks(N):
+    from fracspec.eigen import _parity_block
+    from fracspec.grid import top_diff_rows
+    from fracspec.tensor_ops import parity_fold
+
+    grid = make_grid(N, 1.0)
+    h, m = (N + 1) // 2, N // 2
+    folded = parity_fold(top_diff_rows(grid)[1], 1)
+    tol = 1e-15 * np.max(np.abs(second_derivative_matrix(N)))
+    for odd, block in ((False, folded[:, :h]), (True, folded[:m, h:])):
+        S, g, mult = _parity_block(grid, odd)
+        assert np.array_equal(S, S.T)
+        assert np.array_equal(mult, np.where(np.arange(len(g)) < m, 2.0, 1.0))
+        # undo the similarity by diag(g)
+        assert np.max(np.abs(S * (g[:, None] / g[None, :]) - block)) <= tol
+
+
+def test_factorize_builds_no_derivative_rows(monkeypatch):
+    import fracspec.eigen
+    import fracspec.grid
+    import fracspec.tensor_ops
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full derivative row block was built")
+
+    for module, name in ((fracspec.grid, "top_diff_rows"), (fracspec.grid, "folded_rows"),
+                         (fracspec.tensor_ops, "parity_fold")):
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(fracspec.eigen, name, refuse, raising=False)
+    f = factorize(make_grid(9, 1.0))
+    assert f.P_odd.shape == (4, 4)
+
+
+def test_factorize_peak_memory_is_a_few_half_blocks():
+    import tracemalloc
+
+    grid = make_grid(1001, 1.0)
+    tracemalloc.start()
+    try:
+        factorize(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 501 x 501 block is 1.9 MiB; building the folded 501 x 1001 rows peaked at 15.4 MiB
+    assert peak <= 12 * 2**20
+
+
 def _recorded_eigh(monkeypatch):
     """Patch ``np.linalg.eigh`` to record the eigenvalues of every call, ``eigvalsh`` to fail."""
     real_eigh = np.linalg.eigh
