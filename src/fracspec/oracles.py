@@ -18,12 +18,19 @@ direct Taylor series alternates destructively, so the Kummer transform
 1F1(a;b;z) = e^z 1F1(b-a;b;-z) is summed instead (single-signed tail).
 Beyond -z = 50 the series is abandoned for the large-argument expansion
 Gamma(b)/Gamma(b-a) * (-z)**-a * sum_k (a)_k (a-b+1)_k / (k! (-z)**k),
-truncated at its smallest term.  Each element stops on its own there, so
-that sum runs in cache-sized chunks with the same bits as one pass; a Taylor
-series stops with its whole batch and runs as one pass.  The Gauss function
-uses the Pfaff transform onto z/(z-1) in [0, 1); beyond -z = 50 that
-argument is too close to 1 and the standard two-term large-argument
-connection takes over, which requires a - b away from integers.
+truncated at its smallest term (DLMF 13.7).  The Gauss function uses the
+Pfaff transform onto z/(z-1) in [0, 1); beyond -z = 50 that argument is too
+close to 1 and the standard two-term large-argument connection takes over,
+which requires a - b away from integers.
+
+All four series run through one evaluator, ``_series``.  It buckets the
+elements by the binary exponent of their own argument (of -z, or of 1 - z
+for the Pfaff series), runs the term recurrence and stopping rule once per
+bucket in scalar arithmetic at the bucket's slowest edge, and sums every
+element by Horner's rule in its argument scaled to that edge: two array
+passes per term (Knuth, TAOCP vol. 2, 4.6.4).  Each element is then held to
+its own bound, and a value depends on its own argument alone, so it has the
+same bits alone as in any array.
 
 Both closed-form references evaluate their hypergeometric once per mirror
 orbit, under ``on_mirror_half``: along every axis where the squared-radius
@@ -45,18 +52,22 @@ from .checks import checked_dimension, checked_finite, checked_order, checked_po
 from .errors import NoConvergence, PoleError, QuadratureError
 from .tensor_ops import on_mirror_half
 
-# convergence declared when the running term drops below this fraction of
-# the partial sum
+# a Taylor series converges when its tail is below this fraction of the
+# partial sum
 _SERIES_TOL = 1e-15
 # relative error estimate an asymptotic tail must reach
 _ASYMP_TOL = 1e-10
+# asymptotic terms below this fraction of the partial sum are left out
+_ASYMP_TINY = 1e-17
 # where the Kummer / Pfaff series hand over to large-argument expansions
 _BIG_Z = 50.0
 _MAX_TERMS_1F1 = 2000
 _MAX_TERMS_2F1 = 40000
-# far-branch elements summed together by _asymp_1f1: small enough that a
-# chunk's working arrays stay in cache, large enough to amortize the loop
-_CHUNK = 16384
+_MAX_TERMS_ASYMP = 200
+_MAX_TERMS_CONNECTION = 400
+# series elements bucket on the binary exponent of their own argument,
+# clipped to this range so that a sort key fits in one byte
+_KEY_MIN, _KEY_MAX = -100, 120
 _POLE_TOL = 1e-12
 # connection formula breaks down when a - b approaches an integer
 _DEGENERATE_TOL = 1e-8
@@ -103,53 +114,96 @@ def _rgamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _series(coef, x: np.ndarray, cap: int) -> tuple[np.ndarray, int, bool]:
-    # sum_k t_k, t_0 = 1, t_{k+1} = t_k * coef(k) * x, until every element's
-    # term is below _SERIES_TOL of its partial sum
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(cap):
-        term = term * coef(k) * x
-        total = total + term
-        if np.all(np.abs(term) <= _SERIES_TOL * np.abs(total)):
-            return total, k + 2, True
-    return total, cap, False
+def _series(coefs, x: np.ndarray, t: np.ndarray, edge, cap: int,
+            asymptotic: bool = False) -> tuple[list[np.ndarray], int, bool]:
+    """Sum each series sum_k c_k x**k of ``coefs``, c_0 = 1 and c_{k+1} = c_k * coef(k), on x.
+
+    An element's bucket is the binary exponent e of its own t >= 0, t in
+    [2**(e-1), 2**e), and ``edge(e)`` is the series variable x* at the
+    bucket's slowest edge.  A bucket runs the term recurrence
+    T_k = c_k x***k and its stopping rule once, in scalar arithmetic, and
+    sums each element by Horner's rule in u = x/x*: two array passes per
+    term.  Each element is then held to its own bound, its first omitted
+    term T_K u**K against _SERIES_TOL (or _ASYMP_TOL) of its own sum, and
+    summed again with twice the terms, up to ``cap``, while it misses it.
+    So a value depends on its own argument alone.  Returns one sum per
+    coef, the most terms summed, and whether every element met its bound.
+    """
+    keys = (np.clip(np.frexp(t)[1], _KEY_MIN, _KEY_MAX) - _KEY_MIN).astype(np.uint8)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), x.size]
+    sums = [np.empty_like(x) for _ in coefs]
+    used, ok = 1, True
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        xs = edge(int(ordered[lo]) + _KEY_MIN)
+        u = x[order[lo:hi]] / xs
+        for coef, out in zip(coefs, sums):
+            K, met = _bucket_sum(coef, xs, u, out, order[lo:hi], cap, asymptotic)
+            used, ok = max(used, K), ok and met
+    return sums, used, ok
+
+
+def _bucket_sum(coef, xs: float, u: np.ndarray, out: np.ndarray, sel: np.ndarray, cap: int,
+                asymptotic: bool) -> tuple[int, bool]:
+    # out[sel] = sum_{k<K} T_k u**k, K the edge's term count, doubled for the
+    # elements that miss their bound; returns the last K and whether all met it
+    tol = _ASYMP_TOL if asymptotic else _SERIES_TOL
+    terms = _edge_terms(coef, xs, cap, asymptotic)
+    K = len(terms) - 1
+    while True:
+        total = np.full_like(u, terms[K - 1])
+        for k in range(K - 2, -1, -1):
+            total *= u
+            total += terms[k]
+        out[sel] = total
+        # the first omitted term T_K u**K is at most |T_K| where u <= 1
+        first = abs(terms[K])
+        check = np.flatnonzero(np.abs(total) * tol < first) if u.max() <= 1.0 else np.arange(u.size)
+        miss = check[first * u[check] ** K > tol * np.abs(total[check])]
+        if not miss.size or K == cap:
+            return K, not miss.size
+        K = min(2 * K, cap)
+        while len(terms) <= K:
+            terms.append(terms[-1] * coef(len(terms) - 1) * xs)
+        sel, u = sel[miss], u[miss]
+
+
+def _edge_terms(coef, xs: float, cap: int, asymptotic: bool) -> list[float]:
+    # T_0 .. T_K at the edge, T_K the first term left out of the sum: the
+    # first that grows in an asymptotic series, else the one after the first
+    # whose tail (below _ASYMP_TINY, or geometric in its ratio r to the term
+    # before and below _SERIES_TOL) is negligible beside the sum it joins
+    terms, total = [1.0], 1.0
+    while len(terms) < cap:
+        term, last = terms[-1] * coef(len(terms) - 1) * xs, abs(terms[-1])
+        terms.append(term)
+        if asymptotic and abs(term) >= last:
+            return terms
+        total += term
+        ratio = abs(term) / last if last else 0.0
+        if abs(term) <= (_ASYMP_TINY if asymptotic else _SERIES_TOL * (1.0 - ratio)) * abs(total):
+            break
+    terms.append(terms[-1] * coef(len(terms) - 1) * xs)
+    return terms
 
 
 def _kummer_1f1(a: float, b: float, w: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    # e**-w 1F1(b - a; b; w), each term of the series single-signed
+    # e**-w 1F1(b - a; b; w), each term of the series single-signed; a bucket's
+    # edge is the top of its octave of w, at most _BIG_Z
     c = b - a
-    total, used, ok = _series(lambda k: (c + k) / ((b + k) * (k + 1.0)), w, _MAX_TERMS_1F1)
+    (total,), used, ok = _series([lambda k: (c + k) / ((b + k) * (k + 1.0))], w, w,
+                                 lambda e: min(2.0 ** e, _BIG_Z), _MAX_TERMS_1F1)
     return np.exp(-w) * total, used, ok
 
 
 def _asymp_1f1(a: float, b: float, w: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    # Gamma(b)/Gamma(b-a) * w**-a * sum_k (a)_k (a-b+1)_k / (k! w**k),
-    # each element truncated at its smallest term; _CHUNK elements at a time,
-    # each chunk summed until all of its own elements have stopped
+    # Gamma(b)/Gamma(b-a) * w**-a * sum_k (a)_k (a-b+1)_k / (k! w**k), a series
+    # in 1/w; a bucket's edge is the bottom of its octave of w, at least _BIG_Z
     coeff = math.gamma(b) * _rgamma(b - a)
-    total = np.ones_like(w)
-    estimate = np.full_like(w, np.inf)
-    used = 1
-    for lo in range(0, w.size, _CHUNK):
-        wc, tc, ec = w[lo:lo + _CHUNK], total[lo:lo + _CHUNK], estimate[lo:lo + _CHUNK]
-        term, ratio, mag, last, cut = (np.ones_like(wc) for _ in range(5))
-        active, grew, tiny = (np.ones(wc.shape, dtype=bool) for _ in range(3))
-        for k in range(200):
-            np.divide((a + k) * (a - b + 1.0 + k), np.multiply(wc, k + 1.0, out=ratio), out=ratio)
-            np.abs(np.multiply(term, ratio, out=term), out=mag)
-            # the error estimate of an element is the last term it looked at
-            np.copyto(ec, mag, where=active)
-            np.greater_equal(mag, last, out=grew)
-            np.less_equal(mag, np.multiply(np.abs(tc, out=cut), 1e-17, out=cut), out=tiny)
-            active &= ~grew
-            np.add(tc, term, out=tc, where=active)
-            active &= ~tiny
-            mag, last = last, mag
-            used = max(used, k + 2)
-            if not active.any():
-                break
-    ok = bool(np.all(estimate <= _ASYMP_TOL * np.abs(total)))
+    (total,), used, ok = _series([lambda k: (a + k) * (a - b + 1.0 + k) / (k + 1.0)], 1.0 / w, w,
+                                 lambda e: 1.0 / max(2.0 ** (e - 1), _BIG_Z), _MAX_TERMS_ASYMP,
+                                 asymptotic=True)
     return coeff * w ** (-a) * total, used, ok
 
 
@@ -216,13 +270,21 @@ def hyp2f1(a: float, b: float, c: float, z: float | np.ndarray) -> Hypergeometri
 
 
 def _pfaff_2f1(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    # (1 - z)**-a 2F1(a, c - b; c; z/(z - 1)), the series argument in [0, 1)
-    s, k, ok = _series(_gauss_coef(a, c - b, c), z / (z - 1.0), _MAX_TERMS_2F1)
-    return (1.0 - z) ** (-a) * s, k, ok
+    # (1 - z)**-a 2F1(a, c - b; c; z/(z - 1)), the series argument in [0, 1);
+    # a bucket's edge is the top of its octave of 1 - z, at most 1 + _BIG_Z,
+    # so no edge lands on the singularity at z/(z - 1) = 1
+    def edge(e):
+        z_edge = 1.0 - min(2.0 ** e, 1.0 + _BIG_Z)
+        return z_edge / (z_edge - 1.0)
+
+    t = 1.0 - z
+    (total,), used, ok = _series([_gauss_coef(a, c - b, c)], -z / t, t, edge, _MAX_TERMS_2F1)
+    return t ** (-a) * total, used, ok
 
 
 def _connection_2f1(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    # two-term large-argument connection formula, series in 1/z
+    # two-term large-argument connection formula, two series in 1/z that
+    # share their buckets: the bottom of each octave of -z, at least _BIG_Z
     diff = a - b
     if abs(diff - round(diff)) <= _DEGENERATE_TOL:
         raise NoConvergence(
@@ -230,12 +292,12 @@ def _connection_2f1(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.nda
             "the large-argument connection formula is degenerate"
         )
     w = -z
-    inv = 1.0 / z
     c1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
     c2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-    s1, k1, ok1 = _series(_gauss_coef(a, a - c + 1.0, a - b + 1.0), inv, 400)
-    s2, k2, ok2 = _series(_gauss_coef(b, b - c + 1.0, b - a + 1.0), inv, 400)
-    return c1 * w ** (-a) * s1 + c2 * w ** (-b) * s2, max(k1, k2), ok1 and ok2
+    (s1, s2), used, ok = _series(
+        [_gauss_coef(a, a - c + 1.0, a - b + 1.0), _gauss_coef(b, b - c + 1.0, b - a + 1.0)],
+        1.0 / z, w, lambda e: -1.0 / max(2.0 ** (e - 1), _BIG_Z), _MAX_TERMS_CONNECTION)
+    return c1 * w ** (-a) * s1 + c2 * w ** (-b) * s2, used, ok
 
 
 def exact_fraclap_gaussian(s: float, n: int, r2: float | np.ndarray) -> float | np.ndarray:
@@ -405,19 +467,25 @@ def _lemma_checks() -> list[dict]:
     ]
 
 
+# parameters of the branch-overlap and bucket-seam self checks
+_CHECK_1F1 = ((0.63, 0.5), (2.13, 2.0), (1.2, 1.5))
+_CHECK_2F1 = ((1.3, 0.63, 0.5), (0.7, 1.8, 1.5))
+
+
+def _gap(f, g, params) -> float:
+    # the largest relative gap |f - g| / |g| of two branch evaluations
+    worst = 0.0
+    for p in params:
+        near, far = f(*p)[0], g(*p)[0]
+        worst = max(worst, float(np.max(np.abs(near - far) / np.abs(far))))
+    return worst
+
+
 def _hyp_checks() -> list[dict]:
+    # both branches of each function at the same points, each forced onto every point
     w = np.linspace(45.0, 55.0, 41)
-    worst_1f1 = 0.0
-    for a, b in ((0.63, 0.5), (2.13, 2.0), (1.2, 1.5)):
-        near, _, _ = _kummer_1f1(a, b, w)
-        far, _, _ = _asymp_1f1(a, b, w)
-        worst_1f1 = max(worst_1f1, float(np.max(np.abs(near - far) / np.abs(far))))
-    worst_2f1 = 0.0
-    for a, b, c in ((1.3, 0.63, 0.5), (0.7, 1.8, 1.5)):
-        # both branches of hyp2f1 at the same z, each forced onto every point
-        near, _, _ = _pfaff_2f1(a, b, c, -w)
-        far, _, _ = _connection_2f1(a, b, c, -w)
-        worst_2f1 = max(worst_2f1, float(np.max(np.abs(near - far) / np.abs(far))))
+    worst_1f1 = _gap(lambda *p: _kummer_1f1(*p, w), lambda *p: _asymp_1f1(*p, w), _CHECK_1F1)
+    worst_2f1 = _gap(lambda *p: _pfaff_2f1(*p, -w), lambda *p: _connection_2f1(*p, -w), _CHECK_2F1)
     r2 = np.array([0.0, 0.4, 3.0, 90.0, 1e5])
     zero_g = float(np.max(np.abs(exact_fraclap_gaussian(0.0, 3, r2) - np.exp(-r2))))
     zero_a = float(
@@ -431,7 +499,24 @@ def _hyp_checks() -> list[dict]:
         {"name": "gauss_branch_overlap", "max_deviation": worst_2f1, "tolerance": 1e-9},
         {"name": "order_zero_gaussian", "max_deviation": zero_g, "tolerance": 1e-12},
         {"name": "order_zero_algebraic", "max_deviation": zero_a, "tolerance": 1e-12},
+        *_seam_checks(),
     ]
+
+
+def _seam_checks() -> list[dict]:
+    # each series branch just below and at every power of two 2**k where two
+    # of its buckets meet, in the quantity t whose octaves the buckets are
+    checks = []
+    for name, powers, branch, params in [
+        ("kummer_bucket_seams", (_KEY_MIN, 6), lambda t, *p: _kummer_1f1(*p, t), _CHECK_1F1),
+        ("asymptotic_bucket_seams", (6, _KEY_MAX), lambda t, *p: _asymp_1f1(*p, t), _CHECK_1F1),
+        ("pfaff_bucket_seams", (1, 6), lambda t, *p: _pfaff_2f1(*p, 1.0 - t), _CHECK_2F1),
+        ("connection_bucket_seams", (6, _KEY_MAX), lambda t, *p: _connection_2f1(*p, -t), _CHECK_2F1),
+    ]:
+        at = 2.0 ** np.arange(*powers, dtype=float)
+        gap = _gap(lambda *p: branch(at * (1.0 - 2.0**-52), *p), lambda *p: branch(at, *p), params)
+        checks.append({"name": name, "max_deviation": gap, "tolerance": 1e-14})
+    return checks
 
 
 def _gamma_checks() -> list[dict]:

@@ -90,15 +90,19 @@ def mirror_axes(U: np.ndarray) -> tuple[bool, ...]:
 
     Equality is under ``==``: +0 and -0 count as equal and a NaN never
     does, so a mirror-symmetric field need not be bitwise symmetric in the
-    sign of its zeros.  After a mirrored axis only its top half is compared
-    along the later axes, as the bottom one copies it.
+    sign of its zeros.  Each mirrored pair of rows is compared once: the top
+    ceil(N/2) rows against the reversed bottom ones, a middle row against
+    itself.  After a mirrored axis only its top half is compared along the
+    later axes, as the bottom one copies it.
     """
     U = np.asarray(U)
     mirrored = []
     for axis in range(U.ndim):
-        mirrored.append(np.array_equal(U, np.flip(U, axis)))
+        u = np.moveaxis(U, axis, 0)
+        h = (len(u) + 1) // 2
+        mirrored.append(np.array_equal(u[:h], u[::-1][:h]))
         if mirrored[-1]:
-            U = U[(slice(None),) * axis + (slice((U.shape[axis] + 1) // 2),)]
+            U = np.moveaxis(u[:h], 0, axis)
     return tuple(mirrored)
 
 
@@ -246,8 +250,9 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
     once, into one fixed-width ``S24`` array, one ``%`` per chunk, and
     fills the ``%s`` fields of a chunk from that array at the rows' box
     positions (``_box_position``); any other field fills ``%.17g`` fields
-    from its floats.  Either way the bytes are those of ``"%d,...,%.17g\\n"
-    % row``.  A JSON sidecar ``<path stem>.json`` records the shape, so
+    from the floats of the chunk's own sweeps (``_sweep_values``), with no
+    copy of the field.  Either way the bytes are those of
+    ``"%d,...,%.17g\\n" % row``.  A JSON sidecar ``<path stem>.json`` records the shape, so
     ``path`` must not end in ``.json``.  Returns the sidecar path.
     """
     arr = np.asarray(arr, dtype=float)
@@ -275,8 +280,6 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
         # a row's box position is its leading part plus stride times its trailing part
         stride = math.prod(box.shape[:lead])
         lead_pos = _box_position(shape[:lead], mirrored[:lead], np.arange(rows - 1, -1, -1))
-    else:
-        values = arr.ravel(order="F")[::-1]
     value = b"%s" if any(mirrored) else _VALUE
     with open(path, "wb") as fh:
         fh.write((",".join(f"i{k + 1}" for k in range(len(shape))) + ",value\n").encode())
@@ -286,17 +289,37 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
         for a in range(0, arr.size, sweeps * rows):
             count = min(sweeps, (arr.size - a) // rows)
             chunk = b"".join([template.replace(b"@", t) for t in itertools.islice(trailing, count)])
+            top = (arr.size - a) // rows - 1
             if any(mirrored):
-                top = (arr.size - a) // rows - 1
                 trail = _box_position(shape[lead:], mirrored[lead:], np.arange(top, top - count, -1))
                 entries = text[(stride * trail[:, None] + lead_pos).ravel()]
             else:
-                entries = values[a:a + count * rows]
+                entries = _sweep_values(arr, lead, top - count + 1, count)[::-1]
             fh.write(_fill(chunk, [entries]))
     with open(sidecar, "w", newline="\n") as fh:
         json.dump({"shape": list(shape)}, fh)
         fh.write("\n")
     return sidecar
+
+
+def _sweep_values(arr: np.ndarray, lead: int, first: int, count: int) -> np.ndarray:
+    """The values of sweeps ``first`` to ``first + count - 1`` of the leading ``lead`` axes, column-major.
+
+    A sweep holds every leading index at one trailing index tuple, and its
+    number is that tuple's column-major position over the trailing axes.
+    Consecutive sweeps are read as runs along the first trailing axis, so
+    only their own values are copied.
+    """
+    trailing = arr.shape[lead:] or (1,)
+    arr = arr.reshape(arr.shape[:lead] + trailing)
+    runs, j, end = [], first, first + count
+    while j < end:
+        outer, i = divmod(j, trailing[0])
+        stop = min(trailing[0], i + end - j)
+        index = (slice(None),) * lead + (slice(i, stop),) + np.unravel_index(outer, trailing[1:], order="F")
+        runs.append(arr[index].ravel(order="F"))
+        j += stop - i
+    return np.concatenate(runs)
 
 
 def _box_position(shape: Sequence[int], mirrored: Sequence[bool], flat: np.ndarray) -> np.ndarray:

@@ -315,16 +315,18 @@ def test_mirrored_plane_costs_a_quarter_of_the_mode_product_work(monkeypatch):
     assert costs[0] / costs[1] == pytest.approx(0.25, abs=0.01)
 
 
-def test_gaussian_field_has_no_subnormals_and_exact_normal_values():
+def test_gaussian_field_has_no_values_below_tiny_over_eps_and_exact_values_above():
     grids = [make_grid(64, 8.0), make_grid(65, 8.5)]
     u = gaussian_field(grids)
     ref = np.exp(-radius_squared(grids))
-    tiny = np.finfo(float).tiny
-    assert np.any((ref > 0) & (ref < tiny))  # the plane reaches the subnormal band
-    assert not np.any((u != 0) & (np.abs(u) < tiny))
-    normal = ref >= tiny
-    assert np.array_equal(u[normal], ref[normal])
-    assert np.all(u[~normal] == 0)
+    flush = np.finfo(float).tiny / np.finfo(float).eps
+    assert flush == 2.0**-970
+    assert np.any((ref > 0) & (ref < np.finfo(float).tiny))  # the plane reaches the subnormal band
+    assert np.any((ref >= np.finfo(float).tiny) & (ref < flush))  # and the band above it
+    assert not np.any((u != 0) & (np.abs(u) < flush))
+    kept = ref >= flush
+    assert np.array_equal(u[kept], ref[kept])
+    assert np.all(u[~kept] == 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -333,7 +335,7 @@ def test_gaussian_field_is_the_flushed_exponential_bit_for_bit(n, N):
     # computed on the top half of every axis and mirrored: x*x reads the same backwards
     grids = [make_grid(N + k, 2.5 + 0.5 * k) for k in range(n)]
     want = np.exp(-radius_squared(grids))
-    want[want < np.finfo(float).tiny] = 0.0
+    want[want < np.finfo(float).tiny / np.finfo(float).eps] = 0.0
     u = gaussian_field(grids)
     assert u.shape == want.shape
     assert u.tobytes() == want.tobytes()

@@ -154,7 +154,7 @@ def test_1f1_array_input_matches_scalars():
     assert isinstance(res.value, np.ndarray)
     assert res.value.shape == z.shape
     for idx in np.ndindex(z.shape):
-        assert res.value[idx] == pytest.approx(hyp1f1(0.9, 1.4, z[idx]).value, rel=1e-14)
+        assert np.array_equal(bits(res.value[idx]), bits(hyp1f1(0.9, 1.4, z[idx]).value))
 
 
 def test_1f1_result_reports_convergence_metadata():
@@ -192,12 +192,14 @@ def test_1f1_keeps_its_limit_at_minus_infinity():
 
 
 # ----------------------------------------------------------------------------
-# the large-argument expansion, chunk by chunk
+# the bucketed series against forward loops over every element at once; the
+# loops run in extended precision where numpy has it, as a forward sum of
+# doubles is itself a few ulps off
 # ----------------------------------------------------------------------------
 
 
 def _asymp_1f1_unchunked(a, b, w):
-    """``oracles._asymp_1f1`` as one loop over every element at once."""
+    """The large-argument expansion, each element stopped at its own smallest term."""
     coeff = math.gamma(b) * oracles._rgamma(b - a)
     term = np.ones_like(w)
     total = np.ones_like(w)
@@ -224,11 +226,16 @@ def _asymp_1f1_unchunked(a, b, w):
     return coeff * w ** (-a) * total, used, ok
 
 
-@pytest.fixture(params=[None, 7], ids=["default-chunk", "chunk-7"])
-def chunk(request, monkeypatch):
-    if request.param is not None:
-        monkeypatch.setattr(oracles, "_CHUNK", request.param)
-    return oracles._CHUNK
+def _kummer_1f1_forward(a, b, w):
+    """e**-w 1F1(b - a; b; w) summed forward until every term is below 1e-17 of its sum."""
+    term = np.ones_like(w)
+    total = np.ones_like(w)
+    for k in range(2000):
+        term = term * ((b - a + k) / ((b + k) * (k + 1.0))) * w
+        total = total + term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+            break
+    return np.exp(-w) * total
 
 
 def _far_points(size, low=50.0, seed=11):
@@ -240,39 +247,80 @@ def _far_points(size, low=50.0, seed=11):
     return rng.permutation(w)
 
 
-@pytest.mark.parametrize("size", ["1", "C-1", "C", "C+1", "3C+5"])
+def _near_points(size, seed=12):
+    """Uniform points in [0, 50], shuffled, with both ends and every octave seam present."""
+    rng = np.random.default_rng(seed)
+    seams = 2.0 ** np.arange(-8, 6)
+    w = np.concatenate([[0.0, 50.0], seams, seams * (1 - 2.0**-52), rng.uniform(0.0, 50.0, size)])
+    return rng.permutation(w)
+
+
+@pytest.mark.parametrize("size", [1, 2, 64, 5001])
 @pytest.mark.parametrize("a, b", [(1.3, 1.0), (0.63, 0.5), (2.13, 2.0)])
-def test_chunked_asymptotic_equals_the_unchunked_loop_bitwise(chunk, size, a, b):
-    n = {"1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1, "3C+5": 3 * chunk + 5}[size]
-    w = _far_points(n)
-    got, used, ok = oracles._asymp_1f1(a, b, w)
-    want, want_used, want_ok = _asymp_1f1_unchunked(a, b, w)
-    assert np.array_equal(bits(got), bits(want))
-    assert (used, ok) == (want_used, want_ok)
+def test_asymptotic_series_matches_the_forward_loop(a, b, size):
+    w = _far_points(size)
+    got, _, ok = oracles._asymp_1f1(a, b, w)
+    want, _, want_ok = _asymp_1f1_unchunked(a, b, w.astype(np.longdouble))
+    assert ok and want_ok
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_chunked_asymptotic_reports_a_failure_in_the_last_chunk_only(chunk):
-    # a = 20 converges for large w only; the one small w sits in the last chunk
-    w = _far_points(2 * chunk + 3, low=1e5)
+@pytest.mark.parametrize("size", [0, 64, 5001])
+@pytest.mark.parametrize("a, b", [(1.3, 1.0), (0.63, 0.5), (2.13, 2.0)])
+def test_kummer_series_matches_the_forward_loop(a, b, size):
+    w = _near_points(size)
+    got, _, ok = oracles._kummer_1f1(a, b, w)
+    want = _kummer_1f1_forward(a, b, w.astype(np.longdouble))
+    assert ok
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("where", [0, 1234, -1])
+def test_asymptotic_failure_raises_wherever_the_element_sits(where):
+    # a = 20 converges for large w only: one small w fails its own bound
+    w = _far_points(2501, low=1e5)
     assert oracles._asymp_1f1(20.0, 0.5, w)[2]
-    w[-1] = 50.5
-    got, used, ok = oracles._asymp_1f1(20.0, 0.5, w)
-    want, want_used, want_ok = _asymp_1f1_unchunked(20.0, 0.5, w)
-    assert np.array_equal(bits(got), bits(want))
-    assert (used, ok) == (want_used, want_ok)
-    assert not ok
+    w[where] = 50.5
+    assert not oracles._asymp_1f1(20.0, 0.5, w)[2]
     with pytest.raises(NoConvergence):
         hyp1f1(20.0, 0.5, -w)
 
 
-def test_1f1_far_branch_value_is_the_same_alone_and_in_an_array(chunk):
-    # far-branch elements stop on their own, so the batch does not move their bits
-    # (near-branch elements stop with their batch, hence rel=1e-14 above)
-    z = -np.concatenate([_far_points(2 * chunk + 1), np.linspace(0.0, 50.0, 9)])
-    z = np.random.default_rng(5).permutation(z)
-    together = hyp1f1(1.3, 1.0, z).value
-    for i in np.flatnonzero(z < -50.0)[:: max(1, z.size // 40)]:
-        assert np.array_equal(bits(hyp1f1(1.3, 1.0, z[i]).value), bits(together[i]))
+@pytest.mark.parametrize("call", [
+    lambda z: hyp1f1(1.3, 1.0, z), lambda z: hyp1f1(0.63, 0.5, z),
+    lambda z: hyp2f1(1.3, 0.63, 0.5, z), lambda z: hyp2f1(0.7, 1.8, 1.5, z),
+], ids=["1f1-a", "1f1-b", "2f1-a", "2f1-b"])
+def test_series_values_are_the_same_alone_and_in_a_shuffled_array(call):
+    # a value depends on its own argument only, on either side of the hand-over
+    z = -np.concatenate([_near_points(400), _far_points(400)])
+    together = call(z).value
+    for i in range(0, z.size, 7):
+        assert np.array_equal(bits(call(z[i]).value), bits(together[i]))
+    perm = np.random.default_rng(5).permutation(z.size)
+    assert np.array_equal(bits(call(z[perm]).value), bits(together[perm]))
+
+
+SEAM_CHECKS = ["kummer_bucket_seams", "asymptotic_bucket_seams", "pfaff_bucket_seams",
+               "connection_bucket_seams"]
+
+
+@pytest.mark.parametrize("name", SEAM_CHECKS)
+def test_hyp_self_check_holds_each_branch_across_its_bucket_seams(name):
+    checks = {c["name"]: c for c in oracles.self_checks("hyp")}
+    assert checks[name]["tolerance"] == 1e-14
+    assert checks[name]["pass"]
+
+
+@pytest.mark.parametrize("const, value, name", [
+    ("_SERIES_TOL", 1e-12, "kummer_bucket_seams"),
+    ("_SERIES_TOL", 1e-12, "pfaff_bucket_seams"),
+    ("_ASYMP_TINY", 1e-11, "asymptotic_bucket_seams"),
+])
+def test_bucket_seam_check_sees_a_series_stopped_early(monkeypatch, const, value, name):
+    # a looser stopping rule leaves a truncation error that jumps at the seams
+    monkeypatch.setattr(oracles, const, value)
+    checks = {c["name"]: c for c in oracles.self_checks("hyp")}
+    assert not checks[name]["pass"]
 
 
 # ----------------------------------------------------------------------------
