@@ -11,10 +11,10 @@ section along the first axis (all other indices at the middle node) plus its
 rescaled profile.
 
 The grid is mirror-exact and the operator commutes with every axis mirror,
-and with the axis swap when N and L are common, so the exact flow keeps
-every symmetry of u0.  A run therefore evolves one value per orbit of the
-largest group leaving u0 unchanged under ``==`` (``invariant_orbits``; +0
-and -0 count as equal), builds that group's folded kernel once before the
+and with every axis permutation when N and L are common, so the exact flow
+keeps every symmetry of u0.  A run therefore evolves one value per orbit of
+the largest group leaving u0 unchanged under ``==`` (``invariant_orbits``;
++0 and -0 count as equal), builds that group's folded kernel once before the
 first step, circulant-packed so that each pair of orbits is held and
 evaluated once, evaluates every right-hand side with
 ``fracplap.apply_folded`` on it, and unfolds to the full field only to

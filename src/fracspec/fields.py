@@ -38,7 +38,8 @@ def gaussian_field(grids: Sequence[Grid1D]) -> np.ndarray:
     mirrored = [True] * len(grids)
     u = np.empty([g.N for g in grids])
     top = u[mirror_top(u.shape, mirrored)]
-    np.exp(outer_sum([-(g.x * g.x)[:(g.N + 1) // 2] for g in grids]), out=top)
+    r2 = outer_sum([(g.x * g.x)[:(g.N + 1) // 2] for g in grids])
+    np.exp(np.negative(r2, out=r2), out=top)
     top[top < _FLUSH] = 0.0
     return mirror_fill(u, mirrored)
 

@@ -25,9 +25,9 @@ O+1, O+2, ... modulo R, which names every pair once (for an even R the
 antipodal pair only in its row O < R/2).  Summing a column with its
 mirror image cancels every odd mode, so under the axis mirrors B is built
 from the even half blocks of the factors on the top half of every axis,
-never from A; the axis swap of a square plane then adds the two columns of
-each swapped pair.  The trivial group, every point its own orbit, gives A
-itself; a field with no symmetry takes it.
+never from A; the axis permutations then add the columns of each
+representative's distinct permutations.  The trivial group, every point its
+own orbit, gives A itself; a field with no symmetry takes it.
 
 Route agreement is a standing test target, so neither shortcuts
 through the other or through the linear operator, even at p = 2 where the
@@ -36,6 +36,7 @@ difference-field reduction collapses algebraically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -97,8 +98,7 @@ class Orbits:
     1/sin(xi)**2 multiplied across axes in ``np.kron``'s order, and
     ``index``, shaped like the grid, the position in ``reps`` of every grid
     point's orbit.  Under the mirrors every representative lies in the top
-    ceil(N/2) rows of each axis, and under the swap its first index is at
-    most its second.
+    ceil(N/2) rows of each axis, and under the axis swaps its indices ascend.
     """
 
     group: str
@@ -126,19 +126,19 @@ def grid_orbits(shape: Sequence[int], group: str) -> Orbits:
     """The orbits of ``group`` on a grid of ``shape``.
 
     "none" leaves every point alone, "mirror" adds the reflection
-    i -> N-1-i of each axis, and "mirror+swap" also the swap of the two
-    axes of a square plane.
+    i -> N-1-i of each axis, and "mirror+swap" also every permutation of
+    the axes, which needs equal N on two or more axes.
     """
     shape = tuple(int(N) for N in shape)
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-    if group == "mirror+swap" and (len(shape) != 2 or shape[0] != shape[1]):
-        raise ValueError(f"the axis swap needs a square plane, got shape {shape}")
+    if group == "mirror+swap" and (len(shape) < 2 or len(set(shape)) > 1):
+        raise ValueError(f"the axis swaps need equal N on two or more axes, as on a square plane, got {shape}")
     idx = np.indices(shape)
     if group != "none":
         idx = np.minimum(idx, np.reshape(shape, (-1,) + (1,) * len(shape)) - 1 - idx)
     if group == "mirror+swap":
-        idx = np.stack([idx.min(0), idx.max(0)])
+        idx = np.sort(idx, axis=0)
     # a representative is the grid point its orbit's canonical index names
     key = np.ravel_multi_index(tuple(idx), shape, order="F")
     reps = np.flatnonzero(key.ravel(order="F") == np.arange(key.size))
@@ -159,23 +159,23 @@ def invariant_orbits(U: np.ndarray, scales: Sequence[float]) -> tuple[Orbits, di
 
     The group is the largest of ``GROUPS`` that leaves U unchanged under
     ``==`` (as in ``mirror_axes``, +0 and -0 count as equal) and commutes
-    with the operator: the axis swap needs a square plane and equal map
-    scales.  The record names the group and why, the number of
+    with the operator: the axis swaps need equal N and equal map scales on
+    every axis.  The record names the group and why, the number of
     representatives and the bytes of the folded kernel.
     """
     U = np.asarray(U, dtype=float)
     mirrored = mirror_axes(U)
-    both = "the field is mirror-symmetric along both axes"
+    every = "the field is mirror-symmetric along " + ("both axes" if U.ndim == 2 else "every axis")
     if not all(mirrored):
         group, reason = "none", f"the field is not mirror-symmetric along axis {mirrored.index(False)}"
-    elif U.ndim != 2 or U.shape[0] != U.shape[1]:
+    elif U.ndim < 2 or len(set(U.shape)) > 1:
         group, reason = "mirror", "the field is mirror-symmetric along every axis"
-    elif not np.array_equal(U, U.T):
-        group, reason = "mirror", f"{both} but not swap-symmetric"
-    elif scales[0] != scales[1]:
-        group, reason = "mirror", f"{both} and swap-symmetric, but the scales {tuple(scales)} differ"
+    elif not all(np.array_equal(U, U.swapaxes(k, k + 1)) for k in range(U.ndim - 1)):
+        group, reason = "mirror", f"{every} but not swap-symmetric"
+    elif len(set(scales)) > 1:
+        group, reason = "mirror", f"{every} and swap-symmetric, but the scales {tuple(scales)} differ"
     else:
-        group, reason = "mirror+swap", f"{both} and swap-symmetric"
+        group, reason = "mirror+swap", f"{every} and swap-symmetric"
     orbits = grid_orbits(np.shape(U), group)
     return orbits, {"group": group, "group_reason": reason,
                     "representatives": len(orbits.reps), "kernel_bytes": orbits.kernel_bytes}
@@ -270,8 +270,8 @@ def apply_plap_pointwise(op: FracPOperator, U: np.ndarray) -> np.ndarray:
 
 
 def _checked_orbits(op: FracPOperator, orbits: Orbits) -> Orbits:
-    # the grid is mirror-exact, so only the swap needs more: equal scales
-    if orbits.shape != op.shape or (orbits.group == "mirror+swap" and op.scales[0] != op.scales[1]):
+    # the grid is mirror-exact, so only the axis swaps need more: equal scales on every axis
+    if orbits.shape != op.shape or (orbits.group == "mirror+swap" and len(set(op.scales)) > 1):
         raise ValueError(
             f"{orbits.group} orbits on {orbits.shape} are not a symmetry of the "
             f"operator on {op.shape} with scales {op.scales}"
@@ -306,13 +306,14 @@ def _kernel_rows(op: FracPOperator, orbits: Orbits, a: int, b: int, out: np.ndar
             G *= f.rows(i).reshape(shape)
             parity_unfold(_half_products(f.Pinv_even.T, f.Pinv_odd.T, G, axis, work), axis, out=G)
     if orbits.group == "mirror+swap":
-        # the quadrant columns (i, j) and (j, i) of each representative
-        i, j = np.unravel_index(orbits.reps, op.shape, order="F")
-        h = side[0]
+        # the mirror-box columns of each representative's distinct axis permutations
+        perms = itertools.permutations(np.unravel_index(orbits.reps, op.shape, order="F"))
+        cols = [np.ravel_multi_index(perm, side, order="F") for perm in perms]
         G = G.reshape(b - a, -1)
-        np.take(G, i + h * j, axis=1, out=out)
-        off = i != j
-        out[:, off] += G[:, (j + h * i)[off]]
+        np.take(G, cols[0], axis=1, out=out)
+        for k in range(1, len(cols)):
+            new = np.logical_and.reduce([cols[k] != c for c in cols[:k]])
+            out[:, new] += G[:, cols[k][new]]
     elif not np.may_share_memory(G, out):
         out.reshape(dims)[...] = G
     return out

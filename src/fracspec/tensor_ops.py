@@ -201,9 +201,16 @@ def eigen_sum_tensor(lambdas: Sequence[np.ndarray], scales: Sequence[float]) -> 
 
 
 def outer_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor of entries vectors[0][i_1] + ... + vectors[n-1][i_n], summed left to right, n >= 1."""
+    """Tensor of entries vectors[0][i_1] + ... + vectors[n-1][i_n], n >= 1.
+
+    Three or more terms are summed in ascending order at each entry, so equal
+    vectors give a tensor equal to its every axis transpose bitwise.
+    """
     n = len(vectors)
     terms = [v.reshape([v.size if k == ax else 1 for k in range(n)]) for ax, v in enumerate(vectors)]
+    if n > 2:
+        terms = np.stack(np.broadcast_arrays(*terms))
+        terms.sort(axis=0)
     return functools.reduce(np.add, terms)
 
 

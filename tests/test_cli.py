@@ -342,6 +342,7 @@ def test_fracplap_cross_checks_modes_and_reference(tmp_path):
 @pytest.mark.parametrize("dims,scales,group,reps", [
     ("12", "2.0", "mirror", 6),
     ("9,9", "2.0,2.0", "mirror+swap", 15),
+    ("9,9,9", "2,2,2", "mirror+swap", 35),
 ])
 def test_fracplap_reports_the_route_of_a_builtin_field(tmp_path, dims, scales, group, reps):
     proc = run_cli("fracplap", "--dims", dims, "--scales", scales, "--s", "0.5", "--p", "1.7",

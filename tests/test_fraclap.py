@@ -341,6 +341,15 @@ def test_gaussian_field_is_the_flushed_exponential_bit_for_bit(n, N):
     assert u.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n,N", [(3, 9), (3, 10), (4, 7)])
+def test_fields_on_a_common_grid_equal_every_axis_transpose_bitwise(n, N):
+    # three or more squares are summed in ascending order, whatever axis each comes from
+    grids = [make_grid(N, 2.5)] * n
+    for field in (radius_squared(grids), gaussian_field(grids), lorentzian_field(grids, 0.7)):
+        for perm in itertools.permutations(range(n)):
+            assert np.transpose(field, perm).tobytes() == field.tobytes()
+
+
 def test_order_near_one_approaches_negated_second_derivative():
     N, L = 64, 6.0
     g = make_grid(N, L)

@@ -3,6 +3,7 @@
 Reference constants were computed once at 40 digits and frozen as literals.
 """
 
+import dataclasses
 import functools
 import math
 import sys
@@ -254,7 +255,9 @@ def test_apply_plap_keeps_no_kernel_on_the_operator():
     assert np.array_equal(apply_plap(op, U), first)
 
 
-@pytest.mark.parametrize("dims, scales", [((9,), (2.0,)), ((9, 8), (2.0, 2.5)), ((9, 9), (2.0, 2.0))])
+@pytest.mark.parametrize("dims, scales", [
+    ((9,), (2.0,)), ((9, 8), (2.0, 2.5)), ((9, 9), (2.0, 2.0)), ((9, 9, 9), (2.0, 2.0, 2.0)),
+])
 def test_mirror_folded_kernels_never_build_the_full_power_tensor(dims, scales):
     op = build_fracplap(build_axis_factors(dims), scales, 0.5, 1.7)
     U = gaussian_field([make_grid(N, L) for N, L in zip(dims, scales)])
@@ -367,6 +370,7 @@ def test_contractions_run_at_half_size_without_dense_factors(monkeypatch):
 
 @pytest.mark.parametrize("shape,group", [
     ((5, 4), "none"), ((5, 4), "mirror"), ((5, 5), "mirror+swap"), ((6, 6), "mirror+swap"), ((3, 4, 5), "mirror"),
+    ((5, 5, 5), "mirror+swap"),
 ])
 def test_orbit_weights_are_orbit_sizes_times_the_kron_quadrature_weights(shape, group):
     orbits = grid_orbits(shape, group)
@@ -431,12 +435,20 @@ def full_apply(op, U):
 
 
 def symmetrized(U, group):
-    """U summed over its images under the group, bitwise invariant as addition commutes."""
+    """U made bitwise invariant under the group.
+
+    Mirror images and a plane's transpose are summed, as addition commutes.
+    A sum of three or more transposes depends on its order, so at n >= 3
+    each point takes the value at its sorted folded index instead.
+    """
     if group != "none":
         for axis in range(U.ndim):
             U = U + np.flip(U, axis)
-    if group == "mirror+swap":
+    if group == "mirror+swap" and U.ndim == 2:
         U = U + U.T
+    elif group == "mirror+swap":
+        idx = np.indices(U.shape)
+        U = U[tuple(np.sort(np.minimum(idx, len(U) - 1 - idx), axis=0))]
     return U
 
 
@@ -448,6 +460,10 @@ def symmetrized(U, group):
     ((7, 7), "mirror+swap", 10),
     ((8, 8), "mirror+swap", 10),
     ((3, 4, 5), "mirror", 12),
+    # C(ceil(N/2) + 2, 3) sorted index triples on the top half of every axis
+    ((7, 7, 7), "mirror+swap", 20),
+    ((8, 8, 8), "mirror+swap", 20),
+    ((9, 9, 9), "mirror+swap", 35),
 ])
 def test_orbits_partition_the_grid(shape, group, count):
     orbits = grid_orbits(shape, group)
@@ -472,6 +488,8 @@ def test_swap_needs_a_square_plane_with_common_scales():
         grid_orbits((5, 6), "mirror+swap")
     with pytest.raises(ValueError, match="square plane"):
         grid_orbits((5,), "mirror+swap")
+    with pytest.raises(ValueError, match="equal N on two or more axes"):
+        grid_orbits((5, 5, 6), "mirror+swap")
     with pytest.raises(ValueError, match="group"):
         grid_orbits((5,), "rotation")
     op = build_fracplap(build_axis_factors((6, 6)), (2.0, 2.5), 0.5, 1.7)
@@ -479,6 +497,9 @@ def test_swap_needs_a_square_plane_with_common_scales():
         folded_kernel(op, grid_orbits((6, 6), "mirror+swap"))
     with pytest.raises(ValueError, match="not a symmetry"):
         apply_folded(op, grid_orbits((6, 5), "mirror"), np.zeros(9), None)
+    op = build_fracplap(build_axis_factors((5, 5, 5)), (2.0, 2.0, 2.5), 0.5, 1.7)
+    with pytest.raises(ValueError, match="not a symmetry"):
+        folded_kernel(op, grid_orbits((5, 5, 5), "mirror+swap"))
 
 
 def test_invariant_orbits_take_the_largest_bitwise_symmetry():
@@ -493,7 +514,9 @@ def test_invariant_orbits_take_the_largest_bitwise_symmetry():
     assert group([g, g]) == "mirror+swap"
     assert group([g, make_grid(9, 2.5)]) == "mirror"
     assert group([g, make_grid(10, 2.0)]) == "mirror"
-    assert group([g] * 3) == "mirror"
+    assert group([g] * 3) == "mirror+swap"
+    assert group([g, g, make_grid(10, 2.0)]) == "mirror"
+    assert group([g, g, make_grid(9, 2.5)]) == "mirror"
     # a plane mirror-symmetric along both axes and swap-symmetric on unequal scales keeps the mirrors
     U = gaussian_field([g, g])
     assert invariant_orbits(U, (2.0, 2.5))[1]["group"] == "mirror"
@@ -506,6 +529,15 @@ def test_invariant_orbits_take_the_largest_bitwise_symmetry():
     U[1, 0], U[-2, 0], U[1, -1], U[-2, -1] = (np.nextafter(U[1, 0], 1.0),) * 4
     assert invariant_orbits(U, (2.0, 2.0))[1]["group"] == "mirror"
     assert reason(U) == "the field is mirror-symmetric along both axes but not swap-symmetric"
+    # a cube takes the swaps only when every pair of axes swaps and every scale agrees
+    U = gaussian_field([g] * 3)
+    assert reason(U) == "the field is mirror-symmetric along every axis and swap-symmetric"
+    assert invariant_orbits(U, (2.0, 2.0, 2.5))[1]["group_reason"] == (
+        "the field is mirror-symmetric along every axis and swap-symmetric, but the scales (2.0, 2.0, 2.5) differ")
+    V = symmetrized(np.random.default_rng(9).standard_normal((9, 9, 9)), "mirror")
+    V = V + V.transpose(1, 0, 2)  # the (0, 1) swap only
+    assert invariant_orbits(V, (2.0, 2.0, 2.0))[1]["group"] == "mirror"
+    assert reason(V) == "the field is mirror-symmetric along every axis but not swap-symmetric"
 
 
 def test_invariant_orbits_drop_the_swap_unless_the_scales_agree():
@@ -532,6 +564,8 @@ def test_invariant_orbits_drop_the_swap_unless_the_scales_agree():
     ((15, 15), "mirror+swap"),
     ((16, 16), "mirror+swap"),
     ((5, 6, 7), "mirror"),
+    ((7, 7, 7), "mirror+swap"),
+    ((8, 8, 8), "mirror+swap"),
 ])
 def test_folded_operator_matches_the_full_one_on_invariant_fields(dims, group, p):
     n = len(dims)
@@ -574,10 +608,11 @@ def test_trivial_fold_is_the_full_kernel():
     ((7,), "mirror", 4),
     ((127,), "mirror", 64),
     ((65,), "none", 65),
+    ((13, 13, 13), "mirror+swap", 84),
 ])
 def test_packed_kernel_matches_the_pointwise_reference_at_every_block_edge(dims, group, count):
     # R = 1 packs no pair, R = 2 only an antipodal one, R = 64 fills one block, R = 65 starts a second
-    op = build_fracplap(build_axis_factors(dims), (2.0,), 0.6, 1.7)
+    op = build_fracplap(build_axis_factors(dims), (2.0,) * len(dims), 0.6, 1.7)
     U = symmetrized(np.random.default_rng(14).standard_normal(dims), group)
     orbits = grid_orbits(dims, group)
     assert len(orbits.reps) == count
@@ -587,3 +622,19 @@ def test_packed_kernel_matches_the_pointwise_reference_at_every_block_edge(dims,
     assert np.array_equal(u, apply_folded(op, orbits, orbits.fold(U), None))
     want = apply_plap_pointwise(op, U)
     assert np.max(np.abs(orbits.unfold(u) - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("N", [15, 16])
+def test_plane_kernel_rows_are_the_two_column_gather(N):
+    # the n = 2 bits: the mirror-box column (i, j) of each representative, plus (j, i) off the diagonal
+    dims = (N, N)
+    op = build_fracplap(build_axis_factors(dims), (3.0, 3.0), 0.5, 1.7)
+    orbits = grid_orbits(dims, "mirror+swap")
+    r, h = len(orbits.reps), (N + 1) // 2
+    # mirror-group rows of the same representatives and weights hold every mirror-box column
+    box = _kernel_rows(op, dataclasses.replace(orbits, group="mirror"), 0, r, np.empty((r, h * h)))
+    i, j = np.unravel_index(orbits.reps, dims, order="F")
+    want = box[:, i + h * j]
+    off = i != j
+    want[:, off] += box[:, (j + h * i)[off]]
+    assert np.array_equal(_kernel_rows(op, orbits, 0, r, np.empty((r, r))), want)
