@@ -26,7 +26,6 @@ from .grid import (
     angular_second_deriv_row,
     build_diff_matrices,
     differentiate,
-    folded_rows,
     make_grid,
 )
 from .eigen import SpectralFactor, condition_number, factorize
@@ -118,7 +117,6 @@ __all__ = [
     "exact_fraclap_algebraic",
     "exact_fraclap_gaussian",
     "factorize",
-    "folded_rows",
     "from_eigenbasis",
     "gamma_fn",
     "gaussian_field",

@@ -309,28 +309,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("factor", parents=[common],
                        help="eigen-factorize the second-derivative matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--n", type=int, required=True, help="node count")
+    p.add_argument("--scale", type=float, default=1.0, help="map scale L (default 1)")
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("fraclap", parents=[common], help="apply the fractional Laplacian")
-    p.add_argument("--dims", required=True, help="comma-separated node counts")
-    p.add_argument("--scales", required=True, help="comma-separated map scales")
-    p.add_argument("--s", type=float, required=True, help="fractional order in (0,1)")
-    p.add_argument("--field", default="gaussian",
-                   help="gaussian | lorentzian[:r] | csv:PATH")
-    p.add_argument("--compare-exact", action="store_true",
-                   help="also evaluate the closed-form reference and report max error")
+    # the options fraclap and fracplap share
+    field_run = argparse.ArgumentParser(add_help=False, parents=[common])
+    field_run.add_argument("--dims", required=True, help="comma-separated node counts")
+    field_run.add_argument("--scales", required=True, help="comma-separated map scales")
+    field_run.add_argument("--s", type=float, required=True, help="fractional order in (0,1)")
+    field_run.add_argument("--field", default="gaussian", help="gaussian | lorentzian[:r] | csv:PATH")
+    field_run.add_argument("--compare-exact", action="store_true",
+                           help="also evaluate the closed-form reference and report max error "
+                                "(fracplap: p = 2 only)")
+
+    p = sub.add_parser("fraclap", parents=[field_run], help="apply the fractional Laplacian")
     p.set_defaults(func=_cmd_fraclap)
 
-    p = sub.add_parser("fracplap", parents=[common], help="apply the fractional p-Laplacian")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--scales", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--field", default="gaussian")
-    p.add_argument("--compare-exact", action="store_true",
-                   help="compare against the closed form (p = 2 only)")
+    p = sub.add_parser("fracplap", parents=[field_run], help="apply the fractional p-Laplacian")
+    p.add_argument("--p", type=float, required=True, help="exponent p >= 1")
     p.set_defaults(func=_cmd_fracplap)
 
     p = sub.add_parser("evolve", parents=[common], help="integrate the evolution equation")
@@ -339,7 +336,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", parents=[common],
                        help="run the reference-oracle self checks")
-    p.add_argument("--suite", choices=("lemmas", "hyp", "gamma"), required=True)
+    p.add_argument("--suite", choices=("lemmas", "hyp", "gamma"), required=True,
+                   help="oracle self-check suite to run")
     p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -40,12 +40,14 @@ from .tensor_ops import eigen_sum_tensor, hadamard_pow_neg, mode_product, on_mir
 class FracLapOperator:
     """Immutable fractional Laplacian of order ``s`` on a fixed grid.
 
-    ``pow_even`` holds the read-only entrywise ``s`` power of the negated
-    eigenvalue-sum tensor, scale division included, on the even modes of
-    every axis, the only block a mirror-symmetric field reads, so repeated
-    applies cost only mode products.  ``pow_tensor``, over all modes, is
-    built the first time a field without that symmetry reads it, then kept;
-    ``pow_even`` is its leading block.
+    ``order`` is the power the eigenvalue sums are raised to: ``s`` here,
+    s*p/2 on the p-Laplacian's subclass.  ``pow_even`` holds the read-only
+    entrywise ``order`` power of the negated eigenvalue-sum tensor, scale
+    division included, on the even modes of every axis, the only block a
+    mirror-symmetric field reads, so repeated applies cost only mode
+    products.  ``pow_tensor``, over all modes, is built the first time a
+    field without that symmetry reads it, then kept; ``pow_even`` is its
+    leading block.
     """
 
     factors: tuple[SpectralFactor, ...]
@@ -54,12 +56,16 @@ class FracLapOperator:
     pow_even: np.ndarray
 
     @property
+    def order(self) -> float:
+        return self.s
+
+    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.N for f in self.factors)
 
     @cached_property
     def pow_tensor(self) -> np.ndarray:
-        return _power_tensor([f.lam for f in self.factors], self.scales, self.s)
+        return _power_tensor([f.lam for f in self.factors], self.scales, self.order)
 
 
 def build_axis_factors(dims: Sequence[int]) -> tuple[SpectralFactor, ...]:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import as_strided
 from .checks import checked_dimension, checked_exponent, checked_field, checked_order
 from .eigen import SpectralFactor
 from .errors import PoleError
-from .fraclap import _half_products, _power_tensor, to_eigenbasis
+from .fraclap import FracLapOperator, _half_products, _power_tensor, to_eigenbasis
 from .grid import make_grid
 from .tensor_ops import mirror_axes, mode_product, parity_unfold
 
@@ -60,32 +60,22 @@ GROUPS = ("none", "mirror", "mirror+swap")
 
 
 @dataclass(frozen=True)
-class FracPOperator:
+class FracPOperator(FracLapOperator):
     """Immutable fractional p-Laplacian of order s, exponent p.
 
-    ``pow_even`` holds the read-only entrywise s*p/2 power of the negated
-    eigenvalue-sum tensor (scale division included) on the even modes of
-    every axis, all the mirror-folded kernels read; ``pow_tensor``, over all
-    modes, is built for the trivial group and ``apply_plap_pointwise`` when
-    first read, then kept, with ``pow_even`` as its leading block.
-    ``c_const`` is the closed-form constant multiplying every pointwise
-    evaluation.
+    Its linear part is the fractional Laplacian of ``order`` s*p/2, whose
+    ``pow_even`` all the mirror-folded kernels read and whose
+    ``pow_tensor`` the trivial group and ``apply_plap_pointwise`` read;
+    ``apply_fraclap`` on it applies that linear operator.  ``c_const`` is
+    the closed-form constant multiplying every pointwise evaluation.
     """
 
-    factors: tuple[SpectralFactor, ...]
-    scales: tuple[float, ...]
-    s: float
     p: float
-    pow_even: np.ndarray
     c_const: float
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(f.N for f in self.factors)
-
-    @cached_property
-    def pow_tensor(self) -> np.ndarray:
-        return _power_tensor([f.lam for f in self.factors], self.scales, 0.5 * self.s * self.p)
+    def order(self) -> float:
+        return 0.5 * self.s * self.p
 
 
 @dataclass(frozen=True)
@@ -236,14 +226,8 @@ def build_fracplap(
     p = checked_exponent(p)
     factors = tuple(factors)
     scales = tuple(float(L) for L in scales)
-    return FracPOperator(
-        factors=factors,
-        scales=scales,
-        s=s,
-        p=p,
-        pow_even=_power_tensor([f.lam_even for f in factors], scales, 0.5 * s * p),
-        c_const=plap_constant(len(factors), s, p),
-    )
+    pow_even = _power_tensor([f.lam_even for f in factors], scales, 0.5 * s * p)
+    return FracPOperator(factors, scales, s, pow_even, p, plap_constant(len(factors), s, p))
 
 
 def _point_value(op: FracPOperator, U: np.ndarray, idx: tuple[int, ...]) -> float:

@@ -8,8 +8,10 @@ on (0, pi) and maps them to physical nodes x_j = L*cot(xi_j), which tile the
 whole real axis with algebraic clustering controlled by the scale L.  Samples
 u(x_j) are extended evenly across xi = pi, differentiated
 with the trigonometric spectral matrices for 2N equispaced points, and mapped
-back by the chain rule.  Only the first ceil(N/2) rows, or (``eigen``) the
-parity blocks, are assembled; the rest follow from the reflection symmetry.
+back by the chain rule.  Those matrices are Toeplitz and 2N-periodic, each
+held as its length-2N first row and read modulo 2N.  Only the first
+ceil(N/2) rows, or (``eigen``) the parity blocks, are assembled; the rest
+follow from the reflection symmetry.
 
 Matrices returned here are unscaled: ``Dx @ u`` approximates ``L * u'`` and
 ``Dxx @ u`` approximates ``L**2 * u''``.  Callers divide by the scale.
@@ -83,58 +85,33 @@ def make_grid(N: int, L: float) -> Grid1D:
 def angular_first_deriv_row(N: int) -> np.ndarray:
     """First row of the 2N-point trigonometric first-derivative matrix.
 
-    Returned as a length-3N vector: entries 0..2N-1 are the row itself and
-    entries 2N..3N-1 repeat the leading N entries, so shifted windows of
-    length N can be read for every matrix row without index wrapping.
-    All cotangent arguments lie in (0, pi/2); the rest of the vector is
-    filled from the sign symmetry of the row.
+    The matrix is Toeplitz and 2N-periodic, so its entry (i, j) is
+    ``c[(j - i) mod 2N]``.  All cotangent arguments lie in (0, pi/2); the
+    rest of the row is filled from its sign symmetry c[2N-k] = -c[k].
     """
     N = checked_nodes(N)
-    c = np.zeros(3 * N)
+    c = np.zeros(2 * N)
     k = np.arange(1, N)
     c[1:N] = 0.5 * np.where(k % 2 == 0, -1.0, 1.0) / np.tan(np.pi * k / (2.0 * N))
-    # antisymmetric mirror about index N, then periodic copy
-    c[N + 1 : 2 * N] = -c[1:N][::-1]
-    c[2 * N : 3 * N] = c[0:N]
+    c[N + 1 :] = -c[1:N][::-1]
     return c
 
 
 def angular_second_deriv_row(N: int) -> np.ndarray:
     """First row of the 2N-point trigonometric second-derivative matrix.
 
-    Same length-3N layout as ``angular_first_deriv_row``.  Diagonal entries
-    equal -(2N^2 + 1)/6 and all inverse-square-sine arguments lie in
-    (0, pi/2]; the mirror half is a symmetric copy.
+    Same 2N-periodic Toeplitz layout as ``angular_first_deriv_row``.
+    Diagonal entries equal -(2N^2 + 1)/6 and all inverse-square-sine
+    arguments lie in (0, pi/2]; the mirror half is a symmetric copy.
     """
     N = checked_nodes(N)
-    c = np.zeros(3 * N)
-    diag = -(2.0 * N * N + 1.0) / 6.0
-    c[0] = diag
+    c = np.zeros(2 * N)
+    c[0] = -(2.0 * N * N + 1.0) / 6.0
     k = np.arange(1, N)
     c[1:N] = 0.5 * np.where(k % 2 == 0, -1.0, 1.0) / np.sin(np.pi * k / (2.0 * N)) ** 2
     c[N] = -0.5 * (-1.0) ** N
-    c[N + 1 : 2 * N] = c[1:N][::-1]
-    c[2 * N] = diag
-    c[2 * N + 1 : 3 * N] = c[1:N]
+    c[N + 1 :] = c[1:N][::-1]
     return c
-
-
-def folded_rows(c: np.ndarray, N: int) -> np.ndarray:
-    """Fold a length-3N circulant row into the first ceil(N/2) matrix rows.
-
-    The 2N-column differentiation matrix applied to the even extension of
-    an N-vector collapses, column pair by column pair, to an N-column
-    matrix.  Row i (0-based), column q of the result is
-
-        c[2N + q - i] + c[2N - 1 - q - i].
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size != 3 * N:
-        raise ValueError(f"expected a flat vector of length {3 * N}, got shape {c.shape}")
-    half = (N + 1) // 2
-    # window j is c[j : j + N]; row i adds window 2N - i to window N - i reversed
-    windows = np.lib.stride_tricks.sliding_window_view(c, N)
-    return np.add(windows[2 * N : 2 * N - half : -1], windows[N : N - half : -1, ::-1])
 
 
 def top_diff_rows(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +127,23 @@ def top_diff_rows(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         # keeps the exact reflection symmetry instead of picking up the
         # rounding of the float pi.
         s2x[-1] = 0.0
-    dx_top = folded_rows(angular_first_deriv_row(N), N)
+    dx_top = _fold(angular_first_deriv_row(N), half)
     dx_top *= -s2[:, None]
-    dxx_top = folded_rows(angular_second_deriv_row(N), N)
+    dxx_top = _fold(angular_second_deriv_row(N), half)
     dxx_top *= s4[:, None]
     dxx_top -= s2x[:, None] * dx_top
     return dx_top, dxx_top
+
+
+def _fold(c: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of a 2N-periodic Toeplitz row ``c`` applied to the even extension.
+
+    Column q of the 2N-column matrix and its mirror column 2N-1-q read the
+    same sample, so row i, column q of the N-column result is
+    c[(q - i) mod 2N] + c[(-1 - q - i) mod 2N].
+    """
+    i, q = np.arange(rows)[:, None], np.arange(len(c) // 2)
+    return c[(q - i) % len(c)] + c[(-1 - q - i) % len(c)]
 
 
 def build_diff_matrices(grid: Grid1D) -> DiffMatrices:

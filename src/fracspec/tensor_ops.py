@@ -275,8 +275,8 @@ def write_field_csv(path: str | os.PathLike, arr: np.ndarray) -> str:
     # a length-1 axis is its own mirror and repeats nothing
     mirrored = [m and N > 1 for N, m in zip(shape, mirror_axes(arr.view(np.uint64)))]
     if any(mirrored):
-        # along a mirrored axis of length N the box i >= N // 2 holds every value
-        box = arr[tuple(slice(N // 2 if m else 0, None) for N, m in zip(shape, mirrored))]
+        # the top ceil(N/2) rows of a mirrored axis hold every value
+        box = arr[mirror_top(shape, mirrored)]
         flat = box.ravel(order="F")
         # a %.17g takes at most 24 bytes (a sign, 17 digits, a point and e-308);
         # the array would cut a longer one silently
@@ -332,14 +332,14 @@ def _sweep_values(arr: np.ndarray, lead: int, first: int, count: int) -> np.ndar
 def _box_position(shape: Sequence[int], mirrored: Sequence[bool], flat: np.ndarray) -> np.ndarray:
     """Column-major position in the mirror box of each column-major position ``flat`` in ``shape``.
 
-    Along a mirrored axis of length N index i goes to max(i, N-1-i) - N//2,
-    in a box axis of length ceil(N/2); any other axis keeps its index.
+    Along a mirrored axis of length N index i goes to min(i, N-1-i), in a
+    box axis of length ceil(N/2); any other axis keeps its index.
     """
     pos, stride = np.zeros_like(flat), 1
     for N, m in zip(shape, mirrored):
         flat, i = np.divmod(flat, N)
         if m:
-            i, N = np.maximum(i, N - 1 - i) - N // 2, (N + 1) // 2
+            i, N = np.minimum(i, N - 1 - i), (N + 1) // 2
         pos += stride * i
         stride *= N
     return pos

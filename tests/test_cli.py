@@ -52,6 +52,20 @@ def test_version_flag():
     assert proc.stdout.strip().startswith("fracspec ")
 
 
+def test_every_option_of_every_subcommand_has_help():
+    import argparse
+
+    from fracspec import cli
+
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"nodes", "factor", "fraclap", "fracplap", "evolve", "validate"}
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.help and action.help.strip(), (name, action.option_strings)
+    compare = {a.dest: a.help for a in sub.choices["fracplap"]._actions}["compare_exact"]
+    assert "p = 2" in compare
+
+
 def test_missing_required_argument_exits_one(tmp_path):
     proc = run_cli("nodes", "--scale", "2.0", "--out-dir", str(tmp_path))
     assert proc.returncode == 1

@@ -138,7 +138,7 @@ def test_factorize_builds_no_derivative_rows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a full derivative row block was built")
 
-    for module, name in ((fracspec.grid, "top_diff_rows"), (fracspec.grid, "folded_rows"),
+    for module, name in ((fracspec.grid, "top_diff_rows"), (fracspec.grid, "_fold"),
                          (fracspec.tensor_ops, "parity_fold")):
         monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(fracspec.eigen, name, refuse, raising=False)

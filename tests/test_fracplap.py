@@ -163,6 +163,25 @@ def test_build_power_tensor_uses_half_sp_order():
     assert op.c_const == pytest.approx(-1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("dims,scales,s,p", [
+    ((9,), (2.0,), 0.5, 1.8),
+    ((6, 7), (1.5, 2.5), 0.8, 1.2),
+    ((5, 5), (3.0, 3.0), 0.3, 3.0),
+])
+def test_linear_part_is_the_fraclap_of_order_half_sp(dims, scales, s, p):
+    factors = build_axis_factors(dims)
+    op = build_fracplap(factors, scales, s, p)
+    lin = build_fraclap(factors, scales, 0.5 * s * p)
+    assert op.order == 0.5 * s * p and lin.order == 0.5 * s * p
+    assert op.shape == lin.shape == dims
+    assert np.array_equal(op.pow_even, lin.pow_even)
+    assert np.array_equal(op.pow_tensor, lin.pow_tensor)
+    U = np.random.default_rng(len(dims)).standard_normal(dims)
+    assert np.array_equal(apply_fraclap(op, U), apply_fraclap(lin, U))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.p = 2.0
+
+
 def test_build_propagates_pole_error():
     with pytest.raises(PoleError):
         build_fracplap(build_axis_factors((8,)), (1.0,), 0.8, 2.5)

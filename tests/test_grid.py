@@ -1,4 +1,4 @@
-"""Grid construction, circulant derivative rows, folding, and accuracy."""
+"""Grid construction, 2N-periodic derivative rows, folding, and accuracy."""
 
 import re
 
@@ -12,7 +12,6 @@ from fracspec import (
     build_diff_matrices,
     differentiate,
     exact_fraclap_algebraic,
-    folded_rows,
     hadamard_pow_neg,
     hyp1f1,
     hyp2f1,
@@ -20,7 +19,7 @@ from fracspec import (
     make_grid,
     rk4_step,
 )
-from fracspec.grid import top_diff_rows
+from fracspec.grid import _fold, top_diff_rows
 
 
 # ----------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def test_second_deriv_row_small_case_values():
     assert row[0] == -1.5
     assert row[1] == pytest.approx(1.0, rel=1e-15)
     assert row[2] == -0.5
-    assert row[4] == -1.5
+    assert row[3] == row[1]
 
 
 def test_second_deriv_row_mirror_symmetry():
@@ -169,10 +168,9 @@ def test_second_deriv_row_mirror_symmetry():
 
 @pytest.mark.parametrize("builder", [angular_first_deriv_row, angular_second_deriv_row])
 @pytest.mark.parametrize("N", [2, 3, 8, 33])
-def test_rows_have_periodic_tail_and_right_length(builder, N):
+def test_rows_have_one_period_and_are_finite(builder, N):
     row = builder(N)
-    assert row.shape == (3 * N,)
-    assert np.array_equal(row[2 * N :], row[:N])
+    assert row.shape == (2 * N,)
     assert np.all(np.isfinite(row))
 
 
@@ -191,34 +189,28 @@ def test_second_deriv_row_diagonal_formula():
 
 
 # ----------------------------------------------------------------------------
-# folded_rows
+# the even-extension fold of the top rows
 # ----------------------------------------------------------------------------
 
 
 def test_folding_all_ones_even_doubles():
     N = 6
-    out = folded_rows(np.ones(3 * N), N)
+    out = _fold(np.ones(2 * N), (N + 1) // 2)
     assert np.array_equal(out, np.full(((N + 1) // 2, N), 2.0))
 
 
 def test_folding_two_node_first_derivative_by_hand():
-    # c = [0, 1/2, 0, -1/2, 0, 1/2]; row 0 pairs entries (4,3) and (5,2)
+    # c = [0, 1/2, 0, -1/2]; row 0 pairs entries (0,3) and (1,2)
     c = angular_first_deriv_row(2)
-    out = folded_rows(c, 2)
+    out = _fold(c, 1)
     assert out.shape == (1, 2)
-    assert out[0, 0] == c[4] + c[3] == pytest.approx(-0.5, rel=1e-15)
-    assert out[0, 1] == c[5] + c[2] == pytest.approx(0.5, rel=1e-15)
-
-
-def test_folding_rejects_wrong_length_and_type():
-    with pytest.raises(ValueError):
-        folded_rows(np.ones(7), 4)
-    with pytest.raises(ValueError):
-        folded_rows(np.ones((3, 4)), 4)
+    assert out[0, 0] == c[0] + c[3] == pytest.approx(-0.5, rel=1e-15)
+    assert out[0, 1] == c[1] + c[2] == pytest.approx(0.5, rel=1e-15)
 
 
 def _gathered_rows(c, N):
-    """``folded_rows`` by its docstring's formula, as one index gather."""
+    """The folded top rows by the formula of the padded 3N row, ``c`` extended by its first N entries."""
+    c = np.concatenate([c, c[:N]])
     rows = np.arange((N + 1) // 2)[:, None]
     cols = np.arange(N)[None, :]
     return c[2 * N + cols - rows] + c[2 * N - 1 - cols - rows]
@@ -231,8 +223,8 @@ def _bits(a):
 @pytest.mark.parametrize("N", [2, 3, 4, 31, 32, 501, 1000, 1001])
 def test_folded_and_top_rows_equal_the_gather_formula_bitwise(N):
     first, second = angular_first_deriv_row(N), angular_second_deriv_row(N)
-    assert np.array_equal(_bits(folded_rows(first, N)), _bits(_gathered_rows(first, N)))
-    assert np.array_equal(_bits(folded_rows(second, N)), _bits(_gathered_rows(second, N)))
+    assert np.array_equal(_bits(_fold(first, (N + 1) // 2)), _bits(_gathered_rows(first, N)))
+    assert np.array_equal(_bits(_fold(second, (N + 1) // 2)), _bits(_gathered_rows(second, N)))
     xi = make_grid(N, 1.0).xi[: (N + 1) // 2]
     s2 = np.sin(xi) ** 2
     s2x = np.sin(2.0 * xi)
